@@ -3,8 +3,8 @@
 Subcommands
 -----------
 verify   symbolic identity suite (every closed-form identity reduces to the
-         zero element exactly), golden-file pins, and the numeric decay-shape
-         checks; nonzero exit on any failure
+         zero element exactly) and golden-file pins; nonzero exit on any
+         failure
 oracle   brute-force oracle vs closed forms on seeded evaluation points,
          plus exact coset-mass enumeration comparisons
 lvalue   one central Dirichlet L-value, cross-checked when the modulus is
@@ -26,6 +26,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import locgl2, lfunc, mellin, oracle
@@ -52,7 +53,6 @@ class RunConfig:
     theta: str = "7/64"
     seed: int = DEFAULT_SEED
     out: Optional[str] = None
-    constant: float = 10.0
     timing: bool = False
     balance: float = 1.0
     target: float = 1e-9
@@ -219,56 +219,21 @@ def _point_dict(p: EvalPoint) -> dict:
     }
 
 
-def _oracle_families():
+def _oracle_families() -> dict:
+    """Each family's closed form, built once, and its brute-force oracle."""
     return {
-        "spherical_zeta": (
-            lambda p: locgl2.spherical_zeta().value.substitute(p),
-            lambda p: oracle.zeta_by_summation(0, p),
-        ),
-        "zeta_ratio_1": (
-            lambda p: locgl2.zeta_ratio(1).value.substitute(p),
-            lambda p: oracle.zeta_ratio_by_summation(1, p),
-        ),
-        "zeta_ratio_2": (
-            lambda p: locgl2.zeta_ratio(2).value.substitute(p),
-            lambda p: oracle.zeta_ratio_by_summation(2, p),
-        ),
-        "rs_spherical": (
-            lambda p: locgl2.rs_spherical_zeta().value.substitute(p),
-            lambda p: oracle.rs_by_summation(0, p),
-        ),
-        "rs_a_1": (
-            lambda p: locgl2.rs_a_coeff(1).value.substitute(p),
-            lambda p: oracle.rs_a_by_summation(1, p),
-        ),
-        "rs_a_2": (
-            lambda p: locgl2.rs_a_coeff(2).value.substitute(p),
-            lambda p: oracle.rs_a_by_summation(2, p),
-        ),
-        "rs_zeta_1": (
-            lambda p: locgl2.rs_zeta_ratio(1).value.substitute(p),
-            lambda p: oracle.rs_by_summation(1, p),
-        ),
-        "rs_zeta_2": (
-            lambda p: locgl2.rs_zeta_ratio(2).value.substitute(p),
-            lambda p: oracle.rs_by_summation(2, p),
-        ),
-        "herm_a_1": (
-            lambda p: locgl2.herm_a_coeff(1).value.substitute(p),
-            lambda p: oracle.herm_a_by_summation(1, p),
-        ),
-        "herm_a_2": (
-            lambda p: locgl2.herm_a_coeff(2).value.substitute(p),
-            lambda p: oracle.herm_a_by_summation(2, p),
-        ),
-        "herm_zeta_1": (
-            lambda p: locgl2.herm_zeta_ratio(1).value.substitute(p),
-            lambda p: oracle.herm_by_summation(1, p),
-        ),
-        "herm_zeta_2": (
-            lambda p: locgl2.herm_zeta_ratio(2).value.substitute(p),
-            lambda p: oracle.herm_by_summation(2, p),
-        ),
+        "spherical_zeta": (locgl2.spherical_zeta().value, partial(oracle.zeta_by_summation, 0)),
+        "zeta_ratio_1": (locgl2.zeta_ratio(1).value, partial(oracle.zeta_ratio_by_summation, 1)),
+        "zeta_ratio_2": (locgl2.zeta_ratio(2).value, partial(oracle.zeta_ratio_by_summation, 2)),
+        "rs_spherical": (locgl2.rs_spherical_zeta().value, partial(oracle.rs_by_summation, 0)),
+        "rs_a_1": (locgl2.rs_a_coeff(1).value, partial(oracle.rs_a_by_summation, 1)),
+        "rs_a_2": (locgl2.rs_a_coeff(2).value, partial(oracle.rs_a_by_summation, 2)),
+        "rs_zeta_1": (locgl2.rs_zeta_ratio(1).value, partial(oracle.rs_by_summation, 1)),
+        "rs_zeta_2": (locgl2.rs_zeta_ratio(2).value, partial(oracle.rs_by_summation, 2)),
+        "herm_a_1": (locgl2.herm_a_coeff(1).value, partial(oracle.herm_a_by_summation, 1)),
+        "herm_a_2": (locgl2.herm_a_coeff(2).value, partial(oracle.herm_a_by_summation, 2)),
+        "herm_zeta_1": (locgl2.herm_zeta_ratio(1).value, partial(oracle.herm_by_summation, 1)),
+        "herm_zeta_2": (locgl2.herm_zeta_ratio(2).value, partial(oracle.herm_by_summation, 2)),
     }
 
 
@@ -276,10 +241,10 @@ def cmd_oracle(config: RunConfig) -> dict:
     rng = random.Random(config.seed)
     records = []
     ok_all = True
-    for name, (closed_fn, oracle_fn) in _oracle_families().items():
+    for name, (closed_form, oracle_fn) in _oracle_families().items():
         for _ in range(config.npoints):
             p = _sample_point(rng)
-            closed = closed_fn(p)
+            closed = closed_form.substitute(p)
             probe = oracle_fn(p)
             rel = abs(closed - probe) / max(1.0, abs(closed))
             ok = rel <= config.tol
@@ -437,17 +402,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None, help="write the report/CSV here")
-        p.add_argument("--tol", type=float, default=1e-9)
 
     pv = sub.add_parser("verify", help="symbolic identity suite and golden pins")
     common(pv)
     pv.add_argument("--nmax", type=int, default=6)
     pv.add_argument("--lmax", type=int, default=6)
-    pv.add_argument("--constant", type=float, default=10.0)
 
     po = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
     common(po)
     po.add_argument("--npoints", type=int, default=20)
+    po.add_argument("--tol", type=float, default=1e-9)
 
     pl = sub.add_parser("lvalue", help="one central L-value")
     common(pl)

@@ -1,10 +1,11 @@
 """Dirichlet characters, central L-values and conductor-exponent scans.
 
-Characters mod q are represented by exact integer phases: the unit group is
-split into cyclic components with explicit generators, each character is a
-tuple of exponents on those generators, and chi(x) = zeta_e^(phase(x)) with
-e the group exponent.  Parity, conductor and primitivity are integer
-computations; complex value tables are materialised once per character.
+The character group mod q is one cached CharacterGroup: the unit group split
+into cyclic components with explicit generators, and the discrete logs of
+every unit on them.  A character is an index k on the dual grid; parity,
+conductor and primitivity are integer computations on k, and its value table
+(exact integer phases) is built only when read.  CharacterGroup.sums gives
+sum_r chi(r) f(r) for every chi at once by one FFT over the discrete-log grid.
 
 Central values are computed two independent ways:
 
@@ -34,11 +35,12 @@ context.  The scan is an empirical sanity trend, not a proof check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,9 +51,11 @@ from . import mellin
 __all__ = [
     "LfuncError",
     "AfeError",
+    "CharacterGroup",
     "DirichletCharacter",
     "ScanRecord",
     "FitResult",
+    "character_group",
     "enumerate_characters",
     "all_characters",
     "character_by_label",
@@ -69,7 +73,6 @@ __all__ = [
 
 MAX_MODULUS = 100_000
 MAX_ORACLE_MODULUS = 10_000
-_BATCH_LIMIT = 1 << 26  # entries of the all-characters value matrix
 
 
 class LfuncError(ValueError):
@@ -83,7 +86,7 @@ class AfeError(LfuncError):
 
 
 # ---------------------------------------------------------------------------
-# unit group structure
+# the character group
 # ---------------------------------------------------------------------------
 
 
@@ -126,9 +129,44 @@ class _Component:
     kind: str  # odd | four | two_sign | two_five
 
 
+@dataclass(frozen=True, eq=False)
+class CharacterGroup:
+    """(Z/q)^* as a grid of cyclic components, and its characters on the dual grid.
+
+    units lists the unit residues in ascending order and coords[i, j] is the
+    discrete log of units[j] on the generator of components[i], a cyclic
+    group of order orders[i].  The character of index k is
+    chi_k(r) = exp(2 pi i sum_i k_i coords[i](r) / orders[i]).
+    """
+
+    q: int
+    components: tuple
+    orders: tuple
+    units: np.ndarray
+    coords: np.ndarray
+
+    def sums(self, f, conj: bool = False) -> np.ndarray:
+        """sum_r chi_k(r) f(r) for every index k, as an array of shape orders.
+
+        f is indexed by residue mod q (entries off the units are ignored);
+        with conj the characters are conjugated.  One FFT over the grid of
+        discrete logs serves every character at once.
+        """
+        cell = np.zeros(len(self.units), dtype=np.int64)
+        for c, n in zip(self.coords, self.orders):
+            cell = cell * n + c
+        grid = np.zeros(math.prod(self.orders), dtype=complex)
+        grid[cell] = np.asarray(f)[self.units]
+        grid = grid.reshape(self.orders)
+        axes = tuple(range(grid.ndim))
+        if conj:
+            return np.fft.fftn(grid, axes=axes)
+        return np.fft.ifftn(grid, axes=axes, norm="forward")
+
+
 @lru_cache(maxsize=512)
-def _unit_group(q: int):
-    """Cyclic decomposition of (Z/q)^* with discrete-log tables.
+def character_group(q: int) -> CharacterGroup:
+    """Cyclic decomposition of (Z/q)^* with discrete-log coordinates, cached.
 
     Odd prime powers contribute one cyclic component each; 4 contributes one
     of order 2; 2^e with e >= 3 contributes the sign component (order 2) and
@@ -171,18 +209,12 @@ def _unit_group(q: int):
                 x = (x * g) % pe
             comps.append(_Component(p, pe, order, "odd"))
             tables.append(tab)
-    exponent = 1
-    for c in comps:
-        exponent = exponent * c.order // math.gcd(exponent, c.order)
     residues = np.arange(q, dtype=np.int64)
-    unit_mask = np.ones(q, dtype=bool)
-    unit_mask[0] = q == 1
-    for p, _ in factorize(q):
-        unit_mask &= residues % p != 0
-    dlog = np.zeros((len(comps), q), dtype=np.int64)
+    units = residues[np.gcd(residues, q) == 1]
+    coords = np.zeros((len(comps), len(units)), dtype=np.int64)
     for i, (c, tab) in enumerate(zip(comps, tables)):
-        dlog[i] = tab[residues % c.power]
-    return tuple(comps), dlog, unit_mask, exponent
+        coords[i] = tab[units % c.power]
+    return CharacterGroup(q, tuple(comps), tuple(c.order for c in comps), units, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -192,44 +224,47 @@ def _unit_group(q: int):
 
 @dataclass
 class DirichletCharacter:
-    """A Dirichlet character mod q with exact integer phase data.
+    """A Dirichlet character mod q: its index on the character group.
 
-    values[n] is chi(n mod q); phases[n] is the exponent of the primitive
-    e-th root of unity realising it, or -1 off the units.  parity is 0 for
-    even and 1 for odd characters; gauss is filled on first use.
+    values[n] is chi(n mod q), built on first access from exact integer
+    phases.  parity is 0 for even and 1 for odd characters; gauss is filled
+    on first use.
     """
 
     q: int
     index: tuple
-    exponent: int
-    phases: np.ndarray
-    values: np.ndarray
     parity: int
     conductor: int
     is_primitive: bool
     label: str
     gauss: Optional[complex] = None
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        group = character_group(self.q)
+        exponent = math.lcm(*group.orders)
+        phases = np.zeros(len(group.units), dtype=np.int64)
+        for k, n, c in zip(self.index, group.orders, group.coords):
+            phases += k * (exponent // n) * c
+        values = np.zeros(self.q, dtype=complex)
+        values[group.units] = _root_table(exponent)[phases % exponent]
+        return values
+
     def __call__(self, n: int) -> complex:
         return complex(self.values[n % self.q])
 
     def conj(self) -> "DirichletCharacter":
-        comps, _, _, _ = _unit_group(self.q)
-        idx = tuple((-k) % c.order for k, c in zip(self.index, comps))
-        return _make_character(self.q, idx)
+        return _make_character(self.q, tuple(-k for k in self.index))
 
     def __repr__(self) -> str:
         tag = "primitive" if self.is_primitive else f"conductor {self.conductor}"
         return f"DirichletCharacter(q={self.q}, label={self.label}, parity={self.parity}, {tag})"
 
 
-def _conductor_of_index(q: int, index: tuple) -> int:
-    comps, _, _, _ = _unit_group(q)
+def _conductor_of_index(group: CharacterGroup, index: tuple) -> int:
     cond = 1
     sign_k = 0
-    five_seen = False
-    for c, k in zip(comps, index):
-        k = k % c.order
+    for c, k in zip(group.components, index):
         if c.kind == "odd":
             if k:
                 d = c.order // math.gcd(c.order, k)
@@ -242,51 +277,33 @@ def _conductor_of_index(q: int, index: tuple) -> int:
             if k:
                 cond *= 4
         elif c.kind == "two_sign":
-            sign_k = k
-        elif c.kind == "two_five":
-            five_seen = True
-            if k:
-                d = c.order // math.gcd(c.order, k)  # a 2-power >= 2
-                cond *= 4 * d
-            elif sign_k:
-                cond *= 4
-    if not five_seen and sign_k:
-        # unreachable: two_sign only occurs together with two_five
-        cond *= 4
+            sign_k = k  # two_sign is always followed by two_five
+        elif k:
+            d = c.order // math.gcd(c.order, k)  # a 2-power >= 2
+            cond *= 4 * d
+        elif sign_k:
+            cond *= 4
     return cond
 
 
-def _character_from_phases(q: int, index: tuple, phases: np.ndarray,
-                           values: np.ndarray, exponent: int) -> DirichletCharacter:
-    parity = 0 if (q == 1 or phases[q - 1] == 0) else 1
-    cond = _conductor_of_index(q, index)
+def _make_character(q: int, index: tuple) -> DirichletCharacter:
+    group = character_group(q)
+    if len(index) != len(group.orders):
+        raise LfuncError("index length does not match the unit-group decomposition")
+    index = tuple(int(k) % n for k, n in zip(index, group.orders))
+    # chi(-1) = (-1)^(sum_i 2 k_i c_i / n_i) with c_i the logs of -1 = units[-1];
+    # each 2 c_i / n_i is an integer because (-1)^2 = 1
+    minus_one = zip(index, group.coords[:, -1], group.orders)
+    half_turns = sum(k * (2 * int(c) // n) for k, c, n in minus_one)
+    cond = _conductor_of_index(group, index)
     return DirichletCharacter(
         q=q,
         index=index,
-        exponent=exponent,
-        phases=phases,
-        values=values,
-        parity=parity,
+        parity=half_turns % 2,
         conductor=cond,
         is_primitive=(cond == q),
         label=".".join(str(k) for k in index) if index else "0",
     )
-
-
-def _make_character(q: int, index: tuple) -> DirichletCharacter:
-    comps, dlog, unit_mask, exponent = _unit_group(q)
-    if len(index) != len(comps):
-        raise LfuncError("index length does not match the unit-group decomposition")
-    index = tuple(k % c.order for k, c in zip(index, comps))
-    phases = np.zeros(q, dtype=np.int64)
-    for i, (c, k) in enumerate(zip(comps, index)):
-        phases += k * (exponent // c.order) * dlog[i]
-    phases %= exponent
-    phases[~unit_mask] = -1
-    roots = _root_table(exponent)
-    values = roots[np.maximum(phases, 0)]
-    values[~unit_mask] = 0j
-    return _character_from_phases(q, index, phases, values, exponent)
 
 
 @lru_cache(maxsize=64)
@@ -294,34 +311,12 @@ def _root_table(exponent: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(exponent) / exponent)
 
 
-def _all_indices(q: int) -> list:
-    comps, _, _, _ = _unit_group(q)
-    out = [()]
-    for c in comps:
-        out = [t + (k,) for t in out for k in range(c.order)]
-    return out
-
-
 def all_characters(q: int) -> list:
     """Every Dirichlet character mod q, in lexicographic index order."""
     if q > MAX_MODULUS:
         raise LfuncError(f"modulus limit is {MAX_MODULUS}")
-    comps, dlog, unit_mask, exponent = _unit_group(q)
-    indices = _all_indices(q)
-    if len(indices) * q > _BATCH_LIMIT:
-        return [_make_character(q, idx) for idx in indices]
-    if not comps:
-        return [_make_character(q, ())]
-    idx_mat = np.array(indices, dtype=np.int64)  # (nchar, ncomp)
-    mult = np.array([exponent // c.order for c in comps], dtype=np.int64)
-    phases = (idx_mat * mult[None, :]) @ dlog % exponent  # (nchar, q)
-    phases[:, ~unit_mask] = -1
-    values = _root_table(exponent)[np.maximum(phases, 0)]
-    values[:, ~unit_mask] = 0j
-    return [
-        _character_from_phases(q, tuple(int(k) for k in idx_mat[i]), phases[i], values[i], exponent)
-        for i in range(len(indices))
-    ]
+    orders = character_group(q).orders
+    return [_make_character(q, idx) for idx in itertools.product(*map(range, orders))]
 
 
 def enumerate_characters(q: int) -> list:
@@ -331,15 +326,8 @@ def enumerate_characters(q: int) -> list:
 
 def character_by_label(q: int, label: str) -> DirichletCharacter:
     """Look up a character mod q by its dot-joined exponent label."""
-    comps, _, _, _ = _unit_group(q)
-    if not comps:
-        if label not in ("", "0"):
-            raise LfuncError("trivial unit group has only the label '0'")
-        return _make_character(q, ())
-    parts = label.split(".")
-    if len(parts) != len(comps):
-        raise LfuncError("label does not match the unit-group decomposition")
-    return _make_character(q, tuple(int(p) for p in parts))
+    trivial = not character_group(q).orders and label in ("", "0")
+    return _make_character(q, () if trivial else tuple(int(p) for p in label.split(".")))
 
 
 def primitive_character_count(q: int) -> int:
@@ -362,6 +350,12 @@ def primitive_character_count(q: int) -> int:
     return sum(mu(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
 
 
+def _check_gauss(q: int, tau) -> None:
+    """|tau(chi)| = sqrt(q) for primitive chi; anything else means corrupt data."""
+    if np.any(np.abs(np.abs(tau) - math.sqrt(q)) > 1e-8 * math.sqrt(q)):
+        raise LfuncError("Gauss sum modulus check failed; character data corrupt")
+
+
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum_a chi(a) e(a/q); primitive characters only, cached."""
     if not chi.is_primitive:
@@ -369,8 +363,7 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     if chi.gauss is None:
         q = chi.q
         tau = complex(np.sum(chi.values * np.exp(2j * np.pi * np.arange(q) / q)))
-        if abs(abs(tau) - math.sqrt(q)) > 1e-8 * math.sqrt(q):
-            raise LfuncError("Gauss sum modulus check failed; character data corrupt")
+        _check_gauss(q, tau)
         chi.gauss = tau
     return chi.gauss
 
@@ -632,28 +625,33 @@ class FitResult:
 def _modulus_maximum(q: int, target_abs_error: float) -> Optional[tuple]:
     """(max |L(1/2, chi)|, label) over the primitive characters mod q.
 
-    Batched: per parity one weight build and three matrix products serve
-    every character at once (the two lacunary sums and the Gauss sums).
+    Every sum comes from a transform over the character group: e(r/q) gives
+    the Gauss sums, and per parity the AFE weights, folded mod q, give the
+    two lacunary sums of every character at once.
     """
     chars = enumerate_characters(q)
     if not chars:
         return None
+    group = character_group(q)
+    taus = group.sums(np.exp(2j * np.pi * np.arange(q) / q))
     best, best_label = -1.0, ""
-    e_q = np.exp(2j * np.pi * np.arange(q) / q)
     for parity in (0, 1):
-        group = [chi for chi in chars if chi.parity == parity]
-        if not group:
+        family = [chi for chi in chars if chi.parity == parity]
+        if not family:
             continue
+        at = tuple(np.array([chi.index for chi in family]).T)
         wts = _afe_weights(q, parity, 1.0, float(target_abs_error))
-        mat = np.stack([chi.values for chi in group])
-        taus = mat @ e_q
-        eps = taus / (1j**parity * math.sqrt(q))
-        s1 = mat[:, np.arange(1, wts.n1 + 1) % q] @ wts.w1
-        s2 = np.conj(mat)[:, np.arange(1, wts.n2 + 1) % q] @ wts.w2
-        vals = np.abs(s1 - eps * s2)
+        tau = taus[at]
+        _check_gauss(q, tau)
+        # fold each weight sequence mod q: sum_n chi(n) w[n] = sum_r chi(r) W[r]
+        w1, w2 = (np.bincount(np.arange(1, len(w) + 1) % q, weights=w, minlength=q)
+                  for w in (wts.w1, wts.w2))
+        s1 = group.sums(w1)[at]
+        s2 = group.sums(w2, conj=True)[at]
+        vals = np.abs(s1 - tau / (1j**parity * math.sqrt(q)) * s2)
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best, best_label = float(vals[k]), group[k].label
+            best, best_label = float(vals[k]), family[k].label
     return best, best_label
 
 

@@ -72,6 +72,14 @@ def test_oracle_reproducible():
     assert a == b
 
 
+def test_verify_rejects_unread_options(capsys):
+    for argv in (["verify", "--constant", "1"], ["verify", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_lvalue_chi_minus_four(capsys):
     code = run_main(["lvalue", "--q", "4", "--label", "1"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,21 @@ def test_conj_character():
     chi = lf.enumerate_characters(7)[1]
     conj = chi.conj()
     assert np.allclose(conj.values, np.conj(chi.values))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 9, 16, 27, 45, 48, 60, 64, 105, 2048, 2310, 2520])
+def test_group_sums_match_character_values(q):
+    # odd, four, two_sign and two_five components all occur in this list
+    rng = np.random.default_rng(q)
+    f = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    group = lf.character_group(q)
+    sums, conj_sums = group.sums(f), group.sums(f, conj=True)
+    tol = 1e-10 * np.sum(np.abs(f))
+    chars = lf.all_characters(q)
+    assert len(chars) == sums.size
+    for chi in chars:
+        assert abs(sums[chi.index] - chi.values @ f) <= tol, (q, chi.label)
+        assert abs(conj_sums[chi.index] - np.conj(chi.values) @ f) <= tol, (q, chi.label)
 
 
 # -- Gauss sums ------------------------------------------------------------------
@@ -216,10 +232,32 @@ def test_scan_skips_two_mod_four():
 
 
 def test_scan_batched_matches_per_character():
-    recs = lf.scan(100, 105, stride=1)
+    recs = lf.scan(100, 105, stride=1) + [r for q in (2048, 2310, 2520) for r in lf.scan(q, q)]
+    assert [r.q for r in recs] == [100, 101, 103, 104, 105, 2048, 2520]
     for r in recs:
         ref = max(abs(lf.l_central(c, 1e-8)) for c in lf.enumerate_characters(r.q))
         assert abs(ref - r.abs_l) <= 1e-10
+
+
+def test_scan_checks_gauss_sums(monkeypatch):
+    # an imprimitive character passed off as primitive has |tau| != sqrt(q)
+    monkeypatch.setattr(lf, "enumerate_characters", lf.all_characters)
+    with pytest.raises(lf.LfuncError, match="Gauss sum"):
+        lf.scan(105, 105)
+
+
+def test_scan_prime_near_ten_thousand_is_light():
+    # a value array per character would take 24 q (q - 1) bytes = 2.4 GB here
+    tracemalloc.start()
+    try:
+        (rec,) = lf.scan(9973, 9973)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+    chi = lf.character_by_label(9973, rec.label)
+    assert abs(abs(lf.l_central(chi, 1e-8)) - rec.abs_l) <= 1e-10
+    assert abs(abs(lf.l_oracle_hurwitz(chi, 0.5)) - rec.abs_l) <= 2e-8
 
 
 def test_scan_reproducible_without_timing():
