@@ -17,10 +17,27 @@ Central values are computed two independent ways:
   where eps(chi) = tau(chi)/(i^a sqrt(q)), V1/V2 are inverse Mellin
   transforms of M[h0](±s) times the archimedean gamma-factor ratio along
   Re s = 2 (V2 tends to -1 at 0; the minus sign above makes both sides
-  effectively positive-weight sums of length about sqrt(q) polylog).  The
-  order-4 integration-by-parts decay of M[h0] controls the contour
-  truncation, and shifted-contour bounds at Re s in {4, 8, 12} control the
-  series truncation, so the absolute error budget is explicit and checked.
+  effectively positive-weight sums of length about sqrt(q) polylog).
+
+  V1 and V2 depend on n only through u = log(n/x) and the parity, so each
+  (parity, side) is tabulated once: 60 Chebyshev panels of width 1/4 and
+  degree 28 on u in [-7, 8], sampled from the 20 x 32-node Gauss-Legendre
+  contour sum on 0 <= t <= 40 and evaluated by Clenshaw's recurrence.  An
+  argument outside [-7, 8] raises (n = 1 leaves it only above q = 1.5e5
+  at balance 5); tables are never extrapolated.  The absolute error
+  budget, checked against the target, is the sum of
+    - the series tails past N1 and N2 (shifted-contour bounds at Re s in
+      {4, 8, 12});
+    - the contour truncation at t = 40 (gamma decay exp(-pi t/4));
+    - per weight n^(-1/2) and summed over n, each table's per-panel bound:
+      the Chebyshev interpolation error on a Bernstein ellipse, the
+      rounding of the sampled contour sums times the Lebesgue constant,
+      the rounding of the coefficients, of Clenshaw's recurrence and of
+      u, and the Gauss-Legendre error of the contour rule (Bernstein
+      ellipses of the t-panels, where M[h0] and the gamma ratio are
+      bounded by their values on the real axis).
+  The values M[h0](s) and the gamma ratios at the contour nodes are taken
+  as exact: their own evaluation errors are not in the budget.
 
 * l_oracle_hurwitz: L(s, chi) = q^(-s) sum_a chi(a) zeta_H(s, a/q) with the
   Hurwitz zeta evaluated by Euler-Maclaurin (50 direct terms, Bernoulli
@@ -44,7 +61,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import gamma, loggamma
 
 from . import mellin
 
@@ -319,9 +336,32 @@ def all_characters(q: int) -> list:
     return [_make_character(q, idx) for idx in itertools.product(*map(range, orders))]
 
 
+def _primitive_range(c: _Component) -> Sequence[int]:
+    """The indices on one component whose characters have the full conductor there."""
+    if c.kind == "odd":
+        if c.power == c.prime:
+            return range(1, c.order)  # k != 0
+        return [k for k in range(c.order) if k % c.prime]  # p does not divide k
+    if c.kind == "four":
+        return range(1, 2)
+    if c.kind == "two_sign":
+        return range(2)  # free: primitivity at 2^e, e >= 3, is decided by the 5-power index
+    return range(1, c.order, 2)  # an odd 5-power index
+
+
 def enumerate_characters(q: int) -> list:
-    """All primitive characters mod q (empty for q = 2 mod 4), fixed order."""
-    return [chi for chi in all_characters(q) if chi.is_primitive]
+    """All primitive characters mod q (empty for q = 2 mod 4), in lexicographic index order.
+
+    Primitivity is a condition on each component of the index, so only the
+    primitive indices are built.
+    """
+    if q > MAX_MODULUS:
+        raise LfuncError(f"modulus limit is {MAX_MODULUS}")
+    group = character_group(q)
+    if q % 4 == 2:
+        return []  # no character mod 2 has conductor 2
+    ranges = map(_primitive_range, group.components)
+    return [_make_character(q, idx) for idx in itertools.product(*ranges)]
 
 
 def character_by_label(q: int, label: str) -> DirichletCharacter:
@@ -454,6 +494,7 @@ def l_oracle_hurwitz(chi: DirichletCharacter, s: complex) -> complex:
 
 _SIGMA = 2.0
 _PANEL_WIDTH = 2.0
+_CONTOUR_NODES = 32  # Gauss-Legendre nodes per contour panel
 _T_CAP = 40.0
 _TAIL_SIGMAS = (4.0, 8.0, 12.0)
 
@@ -462,7 +503,7 @@ _TAIL_SIGMAS = (4.0, 8.0, 12.0)
 def _contour(t_cap: float) -> tuple:
     """Nodes, weights and cached M[h0](±(sigma + i t)) on [0, t_cap]."""
     panels = int(round(t_cap / _PANEL_WIDTH))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_CONTOUR_NODES)
     nodes, weights = [], []
     for i in range(panels):
         mid = (i + 0.5) * _PANEL_WIDTH
@@ -540,36 +581,192 @@ def _series_length(parity: int, x_eff: float, side: int, target: float) -> tuple
     raise AfeError("series tail bound not met", bound)
 
 
+# V1 and V2 depend on n only through u = log(n/x): they are tabulated once per
+# (parity, side) as Chebyshev panels on [_U_MIN, _U_MAX], which covers every
+# weight argument of 3 <= q <= MAX_MODULUS at balance in [0.2, 5]
+_U_MIN, _U_MAX = -7.0, 8.0
+_U_PANEL = 0.25
+_TABLE_DEGREE = 28
+_GL_RHO = 3.0  # Bernstein ellipse of the contour panels: |Im t| <= 4/3 < sigma
+_ROUNDOFF = 2.0**-53
+
+
+def _contour_coefficients(parity: int, side: int) -> np.ndarray:
+    """a_j = w_j G(s_j) H(s_j) on the contour nodes s_j = sigma + i t_j.
+
+    H is M[h0](s) for V1 and M[h0](-s) for V2, so that the contour sum is
+    V(u) = (1/pi) Re sum_j a_j exp(-s_j u).
+    """
+    t, w, h_plus, h_minus = _contour(_T_CAP)
+    return w * _gamma_ratio(parity, _SIGMA + 1j * t) * (h_plus if side == 1 else h_minus)
+
+
+def _contour_sum(a: np.ndarray, u) -> tuple:
+    """The direct contour sum at each u, and a bound on its rounding error.
+
+    A term Re a_j exp(-i t_j u) errs by its phase rounding eps t_j |u| and
+    by about 8 eps for the cosine, the sine and the products; a node u off by
+    eps (|u| + 1) moves the sum by at most that times sum_j |a_j| (t_j +
+    sigma).  The terms are added pairwise, so the sum errs by eps times
+    log2(number of terms) times sum_j |a_j|, and the common factor
+    exp(-sigma u) / pi, applied last, adds a few eps of the value.
+    """
+    t = _contour(_T_CAP)[0]
+    u = np.asarray(u, dtype=float)
+    levels = math.ceil(math.log2(len(a)))
+    phase = np.outer(u, t)
+    terms = np.cos(phase) * a.real + np.sin(phase) * a.imag  # Re a_j exp(-i t_j u)
+    terms = np.pad(terms, ((0, 0), (0, 2**levels - len(a))))
+    for _ in range(levels):
+        terms = terms[:, 0::2] + terms[:, 1::2]
+    scale = np.exp(-_SIGMA * u) / math.pi
+    values = scale * terms[:, 0]
+    abs_a = np.abs(a)
+    per_u = (2.0 * np.abs(u) + 1.0) * np.sum(abs_a * (t + _SIGMA)) + (levels + 8.0) * np.sum(abs_a)
+    return values, _ROUNDOFF * (scale * per_u + 6.0 * np.abs(values))
+
+
+def _quadrature_error(parity: int, side: int, u: np.ndarray) -> np.ndarray:
+    """Bound on |V_T(u) - contour sum(u)|, V_T the integral over 0 <= t <= _T_CAP.
+
+    On the Bernstein ellipse E_rho of each contour panel, Im t reaches eta =
+    (rho - 1/rho)/2 times the half-width, so Re s lies in [sigma - eta,
+    sigma + eta] and |exp(-s u)| <= exp(-sigma u + |u| eta).  There
+    |M[h0](s)| <= M[h0](Re s) (h0 >= 0, and M[h0] is convex on the real
+    axis), |M[h0](-s)| <= M[1 - h0](eta - sigma), and |Gamma(x + iy)| <=
+    Gamma(x) prod_k (1 + y^2 / (x + k)^2)^(-1/2) with Gamma convex in x.
+    The (n + 1)-point Gauss rule errs by at most (64/15) M rho^(-2n) /
+    (rho^2 - 1) per unit half-width on such a panel.
+    """
+    rho, half = _GL_RHO, 0.5 * _PANEL_WIDTH
+    eta = 0.5 * (rho - 1.0 / rho) * half
+    reach = 0.5 * (rho + 1.0 / rho) * half
+    if side == 1:
+        h_max = max(_h_plus_sup(_SIGMA - eta), _h_plus_sup(_SIGMA + eta))
+    else:
+        h_max = _h_minus_sup(_SIGMA - eta)
+    x_lo, x_hi = (0.5 + parity + _SIGMA - eta) / 2.0, (0.5 + parity + _SIGMA + eta) / 2.0
+    centers = (np.arange(round(_T_CAP / _PANEL_WIDTH)) + 0.5) * _PANEL_WIDTH
+    y_min = np.maximum(centers - reach, 0.0) / 2.0
+    # every factor is at most 1, so the first 64 of them bound the product
+    decay = np.prod(1.0 + (y_min[:, None] / (x_hi + np.arange(64))) ** 2, axis=1) ** -0.5
+    g_max = max(gamma(x_lo), gamma(x_hi)) / gamma((0.5 + parity) / 2.0) * decay
+    n = _CONTOUR_NODES - 1
+    rule = 64.0 / 15.0 * rho ** (-2 * n) / (rho**2 - 1.0) * half
+    return rule * h_max * np.sum(g_max) / math.pi * np.exp(-_SIGMA * u + eta * np.abs(u))
+
+
+@dataclass(frozen=True)
+class _WeightTable:
+    """V1 or V2 of one parity as Chebyshev panels in u = log(n/x).
+
+    coeffs[p] are the Chebyshev coefficients of V on the panel
+    [_U_MIN + p _U_PANEL, _U_MIN + (p + 1) _U_PANEL]; error[p] bounds the
+    distance of the evaluated table from the contour integral V_T there.
+    tail is |a_j / w_j| at the last contour node.
+    """
+
+    coeffs: np.ndarray
+    error: np.ndarray
+    tail: float
+
+    def __call__(self, u) -> tuple:
+        """V at each u by Clenshaw's recurrence, and the error bound of each value."""
+        u = np.asarray(u, dtype=float)
+        if u.min() < _U_MIN or u.max() > _U_MAX:
+            raise LfuncError(f"weight argument log(n/x) outside the tabulated "
+                             f"[{_U_MIN}, {_U_MAX}]: [{u.min():.3f}, {u.max():.3f}]")
+        pos = (u - _U_MIN) / _U_PANEL
+        panel = np.minimum(pos.astype(int), len(self.coeffs) - 1)
+        x = 2.0 * (pos - panel) - 1.0
+        c = self.coeffs[panel]
+        b1 = b2 = np.zeros_like(u)
+        for j in range(c.shape[1] - 1, 0, -1):
+            b1, b2 = c[:, j] + 2.0 * x * b1 - b2, b1
+        return c[:, 0] + x * b1 - b2, self.error[panel]
+
+
+@lru_cache(maxsize=8)
+def _weight_table(parity: int, side: int, degree: int = _TABLE_DEGREE) -> _WeightTable:
+    """Sample the contour sum at Chebyshev points of every panel and certify the table.
+
+    error[p] is the sum of
+      * interpolation: V extends to complex u with |V| <= (1/pi)
+        exp(-sigma Re u) sum_j |a_j| cosh(t_j Im u), which bounds it by M on
+        the Bernstein ellipse E_rho of the panel; the degree-m interpolant
+        errs by at most 4 M rho^(-m) / (rho - 1), minimised over rho
+      * sampling: the Lebesgue constant 1 + (2/pi) log(m + 1) times the
+        largest rounding bound of the panel's samples (_contour_sum)
+      * coefficients: the rounding of the DCT that gives them
+      * Clenshaw: 5 eps sum_k (|c_k| + 2 B_(k+1) + B_(k+2)) with B_k =
+        sum_(j>=k) (j - k + 1) |c_j| >= |b_k|, plus the rounding of u =
+        log(n/x) times the Markov bound (2/width) sum_j j^2 |c_j| on |V'|
+      * contour quadrature (_quadrature_error) at the worse panel end.
+    """
+    a = _contour_coefficients(parity, side)
+    t, w = _contour(_T_CAP)[:2]
+    panels = round((_U_MAX - _U_MIN) / _U_PANEL)
+    half = 0.5 * _U_PANEL
+    centers = _U_MIN + half + _U_PANEL * np.arange(panels)
+    k = np.arange(degree + 1)
+    nodes = np.cos(np.pi * k / degree)  # Chebyshev points of the second kind
+    u = (centers[:, None] + half * nodes).ravel()
+    # in blocks, so that the (nodes x contour) matrices stay a few MB
+    blocks = [_contour_sum(a, u[i:i + 256]) for i in range(0, u.size, 256)]
+    values, rounding = (np.concatenate(b).reshape(panels, degree + 1) for b in zip(*blocks))
+    # DCT-I: c_j = (2/m) sum_k'' f_k cos(pi j k / m), with c_0 and c_m halved too
+    dct = np.cos(np.pi * np.outer(k, k) / degree) * (2.0 / degree)
+    dct[:, [0, -1]] *= 0.5
+    dct[[0, -1], :] *= 0.5
+    coeffs = values @ dct.T
+
+    abs_a = np.abs(a)
+    interp = np.full(panels, np.inf)
+    for rho in np.geomspace(1.1, 100.0, 64):
+        m_rho = (np.exp(-_SIGMA * (centers - half * 0.5 * (rho + 1.0 / rho))) / math.pi
+                 * np.sum(abs_a * np.cosh(t * half * 0.5 * (rho - 1.0 / rho))))
+        interp = np.minimum(interp, 4.0 * m_rho * rho ** (-degree) / (rho - 1.0))
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(degree + 1)
+    sampling = lebesgue * rounding.max(axis=1)
+    coef_rounding = (degree + 4) * _ROUNDOFF * np.sum(np.abs(values) @ np.abs(dct).T, axis=1)
+    abs_c = np.abs(coeffs)
+    b_sup = abs_c @ np.maximum(k[:, None] - k[None, :] + 1, 0)
+    clenshaw = 5.0 * _ROUNDOFF * (abs_c.sum(axis=1) + 2.0 * b_sup[:, 1:].sum(axis=1)
+                                  + b_sup[:, 2:].sum(axis=1))
+    u_abs = np.abs(centers) + half
+    argument = (2.0 / _U_PANEL) * (abs_c @ k**2) * _ROUNDOFF * (6.0 * u_abs + 34.0)
+    ends = np.stack([centers - half, centers + half])  # the bound is convex in u
+    quadrature = _quadrature_error(parity, side, ends).max(axis=0)
+    error = interp + sampling + coef_rounding + clenshaw + argument + quadrature
+    return _WeightTable(coeffs=coeffs, error=error, tail=abs(a[-1] / w[-1]))
+
+
 @lru_cache(maxsize=1024)
 def _afe_weights(q: int, parity: int, x_rel: float, target: float) -> _AfeWeights:
     if not (0.2 <= x_rel <= 5.0):
         raise LfuncError("balance parameter confined to [0.2, 5]")
-    t, w, h_plus, h_minus = _contour(_T_CAP)
-    g = _gamma_ratio(parity, _SIGMA + 1j * t)
-    a_plus = w * g * h_plus
-    a_minus = w * g * h_minus
-
     scale = math.sqrt(q / math.pi)
     x1 = x_rel * scale  # V1 argument is n / x1
     x2 = scale / x_rel  # V2 argument is n / x2
     budget = target / 4.0
     n1, b1 = _series_length(parity, x1, 1, budget)
     n2, b2 = _series_length(parity, x2, 2, budget)
+    table1, table2 = _weight_table(parity, 1), _weight_table(parity, 2)
 
     # contour truncation: |gamma| decays like exp(-pi t/4), so the remainder
     # past the cap is within ~4.2x the endpoint magnitude, per unit y^(-sigma)
-    cap = (abs(a_plus[-1] / w[-1]) + abs(a_minus[-1] / w[-1])) * 4.2 / math.pi
+    cap = (table1.tail + table2.tail) * 4.2 / math.pi
     trunc = cap * (max(x1, x2) ** _SIGMA) * 1.342  # zeta(5/2) ~ 1.342
 
-    def weights_for(n_len: int, x_scale: float, coeffs: np.ndarray) -> np.ndarray:
+    def weights(n_len: int, x_scale: float, table: _WeightTable) -> tuple:
         ns = np.arange(1, n_len + 1, dtype=float)
-        mat = np.exp(np.outer(-np.log(ns / x_scale), _SIGMA + 1j * t))
-        v = (mat @ coeffs).real / math.pi
-        return v / np.sqrt(ns)
+        v, err = table(np.log(ns / x_scale))
+        root = np.sqrt(ns)
+        return v / root, float(np.sum(err / root))
 
-    w1 = weights_for(n1, x1, a_plus)
-    w2 = weights_for(n2, x2, a_minus)
-    err = b1 + b2 + trunc
+    w1, e1 = weights(n1, x1, table1)
+    w2, e2 = weights(n2, x2, table2)
+    err = b1 + b2 + trunc + e1 + e2
     if err > target:
         raise AfeError("approximate functional equation budget not met", err)
     return _AfeWeights(n1=n1, w1=w1, n2=n2, w2=w2, error_bound=err)

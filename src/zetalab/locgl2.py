@@ -705,7 +705,14 @@ def bound_check(
     Each case evaluates a formal s-derivative of a closed form at sample
     points and compares |value| against constant * (stated decay shape).
     The checks assert the shape with an explicit constant, not the source's
-    unspecified O-constants; worst ratios are reported for freezing.
+    unspecified O-constants; worst ratios are reported for freezing.  Each
+    case's ratio is lhs / (constant * shape) with the raw shape below, and
+    worst_ratio is the largest of them.  passed holds when every ratio
+    divided by the frequency factor l^order of q^(-ls) is at most 1: the
+    order-th s-derivative of q^(-ls) carries (l log q)^order (README,
+    "Finite-q forms of the bounds").  The factor is l^n for
+    zeta_ratio_decay, l^(k1 + k2) for herm_decay and 1 for the other kinds,
+    whose shapes carry their frequency factor already.
 
       c_decay:          |d^k c(n,0;s0)| vs n^k q^(-n/2) log^k q on s0 in iR
                         for n <= n_max, and vs log^k q at the point
@@ -715,8 +722,8 @@ def bound_check(
                         by the source, where the translate depth is at
                         most 2).
       zeta_ratio_decay: |d^n/ds^n zeta_l(s,0,0)|_{s=0} vs q^(-l) log^n q.
-                        The shape is q-stable, but the true constants grow
-                        like 2^n for l = 2 and exceed 10 from n ~ 4 on.
+                        The shape is q-stable, but its constants grow like
+                        l^n: at l = 2 they exceed 10 from n ~ 4 on.
       herm_decay:       |d^{k1}_{s1} d^{k2}_{s2} ztilde_l(s,s1,s2)| at
                         s = 0, s1 = s2 = 1/2 vs q^(-l) log^(k1+k2) q.
                         s = 0 is the pairing's central point (argument
@@ -727,10 +734,12 @@ def bound_check(
                         q^(|l|(eps-1/2)) log^n q for |l| <= 1.
     """
     cases = []
+    scaled = []  # ratio / frequency factor, which decides passed
 
-    def push(params: dict, lhs: float, rhs: float):
+    def push(params: dict, lhs: float, rhs: float, frequency: float = 1.0):
         ratio = lhs / rhs if rhs > 0 else math.inf
         cases.append({**params, "lhs": lhs, "bound": rhs, "ratio": ratio})
+        scaled.append(ratio / frequency)
 
     if kind == "c_decay":
         for q in qs:
@@ -759,7 +768,7 @@ def bound_check(
                 for n in range(n_max + 1):
                     lhs = abs(ders[n].substitute(pt))
                     rhs = constant * q ** (-l) * max(logq, math.log(2)) ** n
-                    push({"q": q, "l": l, "n": n}, lhs, rhs)
+                    push({"q": q, "l": l, "n": n}, lhs, rhs, l**n)
     elif kind == "herm_decay":
         for l in (1, 2):
             base = herm_zeta_ratio(l).value
@@ -772,7 +781,7 @@ def bound_check(
                         pt = EvalPoint(q=q, s=0.0, s1=0.5, s2=0.5)
                         lhs = abs(der.substitute(pt))
                         rhs = constant * q ** (-l) * max(logq, math.log(2)) ** (k1 + k2)
-                        push({"q": q, "l": l, "k1": k1, "k2": k2}, lhs, rhs)
+                        push({"q": q, "l": l, "k1": k1, "k2": k2}, lhs, rhs, l ** (k1 + k2))
     elif kind == "vertical_line":
         for l in (-1, 0, 1):
             base = zeta_ratio(abs(l), dual=(l < 0)).value
@@ -789,9 +798,8 @@ def bound_check(
         raise ValueError(f"unknown bound check kind {kind!r}")
 
     worst = max((c["ratio"] for c in cases), default=0.0)
-    return BoundCheckReport(
-        kind=kind, constant=constant, cases=cases, worst_ratio=worst, passed=worst <= 1.0
-    )
+    passed = max(scaled, default=0.0) <= 1.0
+    return BoundCheckReport(kind=kind, constant=constant, cases=cases, worst_ratio=worst, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,15 @@ the standard C-infinity partition bump
 
     h0(t) = f(2 - t) / (f(2 - t) + f(t - 1)),     f(x) = exp(-1/x),
 
-whose derivatives of every order vanish at both endpoints.  Its Mellin
-transform has the integration-by-parts ladder
+whose derivatives of every order vanish at both endpoints.  The derivatives
+come from two closed recurrences, with no symbolic algebra:
+
+    f^(k)(x) = f(x) P_k(1/x),   P_0 = 1,   P_(k+1)(u) = u^2 (P_k(u) - P_k'(u)),
+    h0^(k) = (N^(k) - sum_{j<k} C(k, j) h0^(j) D^(k-j)) / D,
+
+where N(t) = f(2 - t) and D(t) = f(2 - t) + f(t - 1), so that h0 D = N.
+Order 0 is the quotient N/D itself.  The Mellin transform of h0 has the
+integration-by-parts ladder
 
     M[h0](s) = (-1)^N  prod_{j=0}^{N-1} (s+j)^(-1)  M[h0^(N)](s + N)
 
@@ -23,9 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "MellinError",
@@ -61,18 +69,36 @@ class MellinPoleError(MellinError):
 # ---------------------------------------------------------------------------
 
 
-def _build_derivatives(n_max: int) -> list:
-    """Closed-form derivatives of the bump on (1, 2), lambdified for arrays."""
-    import sympy as sp
+def _bump_polynomials(n_max: int) -> list:
+    """Ascending coefficients of P_0 .. P_n_max, f^(k)(x) = f(x) P_k(1/x) (module docstring)."""
+    polys = [np.array([1.0])]
+    for _ in range(n_max):
+        p = polys[-1]
+        diff = npoly.polysub(p, npoly.polyder(p))
+        polys.append(np.concatenate([[0.0, 0.0], diff]))
+    return polys
 
-    t = sp.Symbol("t", positive=True)
-    f = lambda x: sp.exp(-1 / x)  # noqa: E731
-    expr = f(2 - t) / (f(2 - t) + f(t - 1))
-    funcs = []
-    for _ in range(n_max + 1):
-        funcs.append(sp.lambdify(t, expr, "numpy"))
-        expr = sp.diff(expr, t)
-    return funcs
+
+_BUMP_POLYS = _bump_polynomials(MAX_DERIVATIVE_ORDER)
+
+
+def _bump_derivative(t: np.ndarray, k: int) -> np.ndarray:
+    """h0^(k) on 1 < t < 2 by the quotient-rule recurrence of the module docstring."""
+    if k == 0:
+        left = np.exp(-1.0 / (2.0 - t))
+        return left / (left + np.exp(-1.0 / (t - 1.0)))
+    xl, xr = 2.0 - t, t - 1.0
+    fl, fr = np.exp(-1.0 / xl), np.exp(-1.0 / xr)
+    num, den = [], []
+    for j in range(k + 1):
+        left = (-1) ** j * fl * npoly.polyval(1.0 / xl, _BUMP_POLYS[j])
+        num.append(left)
+        den.append(left + fr * npoly.polyval(1.0 / xr, _BUMP_POLYS[j]))
+    h = []
+    for j in range(k + 1):
+        acc = num[j] - sum(math.comb(j, i) * h[i] * den[j - i] for i in range(j))
+        h.append(acc / den[0])
+    return h[k]
 
 
 class SmoothCutoff:
@@ -82,12 +108,6 @@ class SmoothCutoff:
         if n_max > MAX_DERIVATIVE_ORDER:
             raise MellinError(f"derivative order capped at {MAX_DERIVATIVE_ORDER}")
         self.n_max = n_max
-        self._derivs: Optional[list] = None
-
-    def _funcs(self) -> list:
-        if self._derivs is None:
-            self._derivs = _build_derivatives(self.n_max)
-        return self._derivs
 
     def eval(self, t, k: int = 0):
         """k-th derivative of h0 at t (scalar or array); exact off (1, 2)."""
@@ -101,7 +121,7 @@ class SmoothCutoff:
         if k == 0:
             out[arr <= 1.0 + 1e-12] = 1.0
         if np.any(inside):
-            out[inside] = self._funcs()[k](arr[inside])
+            out[inside] = _bump_derivative(arr[inside], k)
         return out if out.shape else float(out)
 
 

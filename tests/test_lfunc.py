@@ -59,6 +59,13 @@ def test_complete_multiplicativity():
             assert chi(q) == 0 or q == 1
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 9, 16, 25, 27, 32, 45, 48, 60, 64, 105, 120, 243, 360, 2048, 2520])
+def test_primitive_indices_match_filtered_group(q):
+    # enumerate_characters builds only the primitive indices, in the same order
+    filtered = [chi.label for chi in lf.all_characters(q) if chi.is_primitive]
+    assert [chi.label for chi in lf.enumerate_characters(q)] == filtered
+
+
 def test_character_label_roundtrip():
     for q in (4, 45, 56):
         for chi in lf.enumerate_characters(q):
@@ -206,6 +213,67 @@ def test_conjugation_symmetry():
             a = lf.l_central(chi.conj(), 1e-9)
             b = lf.l_central(chi, 1e-9).conjugate()
             assert abs(a - b) <= 1e-9
+
+
+def _direct_weights(parity, side, u):
+    # the contour sum in chunks, so that q near 10^5 stays small in memory
+    a = lf._contour_coefficients(parity, side)
+    parts = [lf._contour_sum(a, u[i:i + 1024]) for i in range(0, len(u), 1024)]
+    return np.concatenate([v for v, _ in parts]), np.concatenate([r for _, r in parts])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 101, 400, 997, 5003, 9973, 30011, 99991])
+def test_weight_tables_match_contour_sum(q):
+    # every weight argument of l_central at target 1e-9: table against the direct sum
+    for parity in (0, 1):
+        for balance in (0.2, 1.0, 5.0):
+            scale = math.sqrt(q / math.pi)
+            for side, x in ((1, balance * scale), (2, scale / balance)):
+                n, _ = lf._series_length(parity, x, side, 1e-9 / 4)
+                ns = np.arange(1, n + 1, dtype=float)
+                u = np.log(ns / x)
+                table, err = lf._weight_table(parity, side)(u)
+                direct, rounding = _direct_weights(parity, side, u)
+                diff = np.abs(table - direct)
+                assert np.all(diff <= err + rounding), (q, parity, balance, side)
+
+
+def test_low_degree_table_bound_holds_and_is_sharp():
+    # at degree 8 the interpolation error dominates rounding, so the bound shows
+    u = np.linspace(-2.0, 6.0, 3001)
+    for parity in (0, 1):
+        for side in (1, 2):
+            table, err = lf._weight_table(parity, side, 8)(u)
+            direct, rounding = _direct_weights(parity, side, u)
+            ratio = np.abs(table - direct) / (err + rounding)
+            assert np.max(ratio) <= 1.0
+            assert np.max(ratio) >= 1e-3, np.max(ratio)  # not vacuous
+
+
+def test_weight_argument_outside_table_raises():
+    table = lf._weight_table(0, 1)
+    with pytest.raises(lf.LfuncError, match="outside the tabulated"):
+        table(np.array([lf._U_MIN - 0.01]))
+    with pytest.raises(lf.LfuncError, match="outside the tabulated"):
+        table(np.array([0.0, lf._U_MAX + 0.01]))
+    # balance 5 at q = 160,000 puts n = 1 at u = -log(5 sqrt(q/pi)) < -7
+    with pytest.raises(lf.LfuncError, match="outside the tabulated"):
+        lf._afe_weights(160_001, 0, 5.0, 1e-9)
+
+
+def test_afe_budget_counts_the_tables():
+    # at q = 99991 the series tails are far below 1e-9, but the tables' bound
+    # (mostly the rounding of the contour sums at small n) lifts the total past it
+    q, scale = 99991, math.sqrt(99991 / math.pi)
+    tables = 0.0
+    for side in (1, 2):
+        n, tail = lf._series_length(1, scale, side, 1e-9 / 4)
+        assert tail < 1e-10
+        ns = np.arange(1, n + 1, dtype=float)
+        tables += float(np.sum(lf._weight_table(1, side)(np.log(ns / scale))[1] / np.sqrt(ns)))
+    with pytest.raises(lf.AfeError, match="achieved bound") as exc:
+        lf._afe_weights(q, 1, 1.0, 1e-9)
+    assert exc.value.achieved > max(1e-9, tables) and tables > 5e-10
 
 
 def test_l_central_input_guards():

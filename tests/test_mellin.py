@@ -1,6 +1,8 @@
 """Cutoff, Mellin ladder, windows: values, identities, decay."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +38,37 @@ def test_derivatives_against_richardson_differences(k):
         d2 = (ml.h0_eval(t + h / 2, k - 1) - ml.h0_eval(t - h / 2, k - 1)) / h
         rich = (4 * d2 - d1) / 3
         assert abs(rich - ml.h0_eval(t, k)) <= 1e-6 * max(1.0, abs(rich))
+
+
+def test_derivative_recurrence_against_sympy():
+    # sympy differentiates the closed form exactly; mpmath evaluates it at 30 digits
+    sp = pytest.importorskip("sympy")
+    import mpmath
+
+    t = sp.Symbol("t")
+    f = lambda x: sp.exp(-1 / x)  # noqa: E731
+    expr = f(2 - t) / (f(2 - t) + f(t - 1))
+    ts = np.linspace(1.02, 1.98, 25)
+    with mpmath.workdps(30):
+        for k in range(5):
+            exact_at = sp.lambdify(t, sp.diff(expr, t, k), "mpmath")
+            exact = np.array([float(exact_at(mpmath.mpf(float(x)))) for x in ts])
+            got = ml.DEFAULT_CUTOFF.eval(ts, k)
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact)), k
+
+
+def test_mellin_module_runs_without_sympy():
+    code = (
+        "import importlib.util, sys\n"
+        "sys.modules['sympy'] = None\n"
+        f"spec = importlib.util.spec_from_file_location('mellin_alone', {ml.__file__!r})\n"
+        "mod = importlib.util.module_from_spec(spec)\n"
+        "sys.modules['mellin_alone'] = mod\n"
+        "spec.loader.exec_module(mod)\n"
+        "print(repr(mod.h0_eval(1.3, 4)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert float(out.stdout) == ml.h0_eval(1.3, 4)
 
 
 def test_fundamental_theorem_on_derivative():
