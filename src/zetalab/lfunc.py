@@ -16,8 +16,13 @@ Central values are computed two independent ways:
 
   where eps(chi) = tau(chi)/(i^a sqrt(q)), V1/V2 are inverse Mellin
   transforms of M[h0](±s) times the archimedean gamma-factor ratio along
-  Re s = 2 (V2 tends to -1 at 0; the minus sign above makes both sides
+  Re s = 1 (V2 tends to -1 at 0; the minus sign above makes both sides
   effectively positive-weight sums of length about sqrt(q) polylog).
+  On Re s = sigma the contour sum at u = log(n/x) < 0 is exp(-sigma u)
+  times a sum that cancels to about exp(sigma u), so its rounding, summed
+  over n, grows like x^sigma.  With sigma = 1 the tables' whole bound stays
+  below 3.3e-11 for every supported q and balance (worst at q = 10^5,
+  balance 5); sigma = 2 pushed it to 3e-8 there, past the default target.
 
   V1 and V2 depend on n only through u = log(n/x) and the parity, so each
   (parity, side) is tabulated once: 60 Chebyshev panels of width 1/4 and
@@ -28,7 +33,8 @@ Central values are computed two independent ways:
   budget, checked against the target, is the sum of
     - the series tails past N1 and N2 (shifted-contour bounds at Re s in
       {4, 8, 12});
-    - the contour truncation at t = 40 (gamma decay exp(-pi t/4));
+    - the contour truncation at t = 40 (gamma decay exp(-pi t/4)), summed
+      over n as x^sigma zeta(sigma + 1/2);
     - per weight n^(-1/2) and summed over n, each table's per-panel bound:
       the Chebyshev interpolation error on a Bernstein ellipse, the
       rounding of the sampled contour sums times the Lebesgue constant,
@@ -61,7 +67,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma, loggamma
+from scipy.special import gamma, loggamma, zeta
 
 from . import mellin
 
@@ -278,32 +284,39 @@ class DirichletCharacter:
         return f"DirichletCharacter(q={self.q}, label={self.label}, parity={self.parity}, {tag})"
 
 
+def _local_conductor(c: _Component, k: int, sign_k: int = 0) -> int:
+    """The part of the conductor that component c contributes at index k.
+
+    At 2^e with e >= 3 the sign index sign_k is counted with the 5-power
+    index that follows it, so the sign component alone contributes 1.
+    """
+    if c.kind == "two_sign":
+        return 1
+    if not k:
+        return 4 if c.kind == "two_five" and sign_k else 1
+    if c.kind == "four":
+        return 4
+    d = c.order // math.gcd(c.order, k)  # the order of the character on c
+    if c.kind == "two_five":
+        return 4 * d
+    v = 0
+    while d % c.prime == 0:
+        d //= c.prime
+        v += 1
+    return c.prime ** (1 + v)
+
+
 def _conductor_of_index(group: CharacterGroup, index: tuple) -> int:
     cond = 1
     sign_k = 0
     for c, k in zip(group.components, index):
-        if c.kind == "odd":
-            if k:
-                d = c.order // math.gcd(c.order, k)
-                v = 0
-                while d % c.prime == 0:
-                    d //= c.prime
-                    v += 1
-                cond *= c.prime ** (1 + v)
-        elif c.kind == "four":
-            if k:
-                cond *= 4
-        elif c.kind == "two_sign":
-            sign_k = k  # two_sign is always followed by two_five
-        elif k:
-            d = c.order // math.gcd(c.order, k)  # a 2-power >= 2
-            cond *= 4 * d
-        elif sign_k:
-            cond *= 4
+        cond *= _local_conductor(c, k, sign_k)
+        sign_k = k if c.kind == "two_sign" else 0
     return cond
 
 
-def _make_character(q: int, index: tuple) -> DirichletCharacter:
+def _make_character(q: int, index: tuple, conductor: Optional[int] = None) -> DirichletCharacter:
+    """The character of an index; a conductor already known is not recomputed."""
     group = character_group(q)
     if len(index) != len(group.orders):
         raise LfuncError("index length does not match the unit-group decomposition")
@@ -312,7 +325,7 @@ def _make_character(q: int, index: tuple) -> DirichletCharacter:
     # each 2 c_i / n_i is an integer because (-1)^2 = 1
     minus_one = zip(index, group.coords[:, -1], group.orders)
     half_turns = sum(k * (2 * int(c) // n) for k, c, n in minus_one)
-    cond = _conductor_of_index(group, index)
+    cond = _conductor_of_index(group, index) if conductor is None else conductor
     return DirichletCharacter(
         q=q,
         index=index,
@@ -338,22 +351,16 @@ def all_characters(q: int) -> list:
 
 def _primitive_range(c: _Component) -> Sequence[int]:
     """The indices on one component whose characters have the full conductor there."""
-    if c.kind == "odd":
-        if c.power == c.prime:
-            return range(1, c.order)  # k != 0
-        return [k for k in range(c.order) if k % c.prime]  # p does not divide k
-    if c.kind == "four":
-        return range(1, 2)
     if c.kind == "two_sign":
         return range(2)  # free: primitivity at 2^e, e >= 3, is decided by the 5-power index
-    return range(1, c.order, 2)  # an odd 5-power index
+    return [k for k in range(c.order) if _local_conductor(c, k) == c.power]
 
 
 def enumerate_characters(q: int) -> list:
     """All primitive characters mod q (empty for q = 2 mod 4), in lexicographic index order.
 
-    Primitivity is a condition on each component of the index, so only the
-    primitive indices are built.
+    Primitivity is a condition on each component of the index (its local
+    conductor is the full prime power), so only the primitive indices are built.
     """
     if q > MAX_MODULUS:
         raise LfuncError(f"modulus limit is {MAX_MODULUS}")
@@ -361,7 +368,7 @@ def enumerate_characters(q: int) -> list:
     if q % 4 == 2:
         return []  # no character mod 2 has conductor 2
     ranges = map(_primitive_range, group.components)
-    return [_make_character(q, idx) for idx in itertools.product(*ranges)]
+    return [_make_character(q, idx, conductor=q) for idx in itertools.product(*ranges)]
 
 
 def character_by_label(q: int, label: str) -> DirichletCharacter:
@@ -492,7 +499,7 @@ def l_oracle_hurwitz(chi: DirichletCharacter, s: complex) -> complex:
 # smoothed approximate functional equation
 # ---------------------------------------------------------------------------
 
-_SIGMA = 2.0
+_SIGMA = 1.0
 _PANEL_WIDTH = 2.0
 _CONTOUR_NODES = 32  # Gauss-Legendre nodes per contour panel
 _T_CAP = 40.0
@@ -587,7 +594,7 @@ def _series_length(parity: int, x_eff: float, side: int, target: float) -> tuple
 _U_MIN, _U_MAX = -7.0, 8.0
 _U_PANEL = 0.25
 _TABLE_DEGREE = 28
-_GL_RHO = 3.0  # Bernstein ellipse of the contour panels: |Im t| <= 4/3 < sigma
+_GL_RHO = 2.0  # Bernstein ellipse of the contour panels: |Im t| <= 3/4 < sigma
 _ROUNDOFF = 2.0**-53
 
 
@@ -687,7 +694,7 @@ class _WeightTable:
 
 
 @lru_cache(maxsize=8)
-def _weight_table(parity: int, side: int, degree: int = _TABLE_DEGREE) -> _WeightTable:
+def _weight_table(parity: int, side: int) -> _WeightTable:
     """Sample the contour sum at Chebyshev points of every panel and certify the table.
 
     error[p] is the sum of
@@ -703,6 +710,7 @@ def _weight_table(parity: int, side: int, degree: int = _TABLE_DEGREE) -> _Weigh
         log(n/x) times the Markov bound (2/width) sum_j j^2 |c_j| on |V'|
       * contour quadrature (_quadrature_error) at the worse panel end.
     """
+    degree = _TABLE_DEGREE
     a = _contour_coefficients(parity, side)
     t, w = _contour(_T_CAP)[:2]
     panels = round((_U_MAX - _U_MIN) / _U_PANEL)
@@ -756,7 +764,7 @@ def _afe_weights(q: int, parity: int, x_rel: float, target: float) -> _AfeWeight
     # contour truncation: |gamma| decays like exp(-pi t/4), so the remainder
     # past the cap is within ~4.2x the endpoint magnitude, per unit y^(-sigma)
     cap = (table1.tail + table2.tail) * 4.2 / math.pi
-    trunc = cap * (max(x1, x2) ** _SIGMA) * 1.342  # zeta(5/2) ~ 1.342
+    trunc = cap * max(x1, x2) ** _SIGMA * float(zeta(_SIGMA + 0.5))
 
     def weights(n_len: int, x_scale: float, table: _WeightTable) -> tuple:
         ns = np.arange(1, n_len + 1, dtype=float)

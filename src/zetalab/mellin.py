@@ -11,9 +11,9 @@ come from two closed recurrences, with no symbolic algebra:
     f^(k)(x) = f(x) P_k(1/x),   P_0 = 1,   P_(k+1)(u) = u^2 (P_k(u) - P_k'(u)),
     h0^(k) = (N^(k) - sum_{j<k} C(k, j) h0^(j) D^(k-j)) / D,
 
-where N(t) = f(2 - t) and D(t) = f(2 - t) + f(t - 1), so that h0 D = N.
-Order 0 is the quotient N/D itself.  The Mellin transform of h0 has the
-integration-by-parts ladder
+where N(t) = f(2 - t) and D(t) = f(2 - t) + f(t - 1), so that h0 D = N;
+at order 0 the recurrence is the quotient N/D itself.  The Mellin transform
+of h0 has the integration-by-parts ladder
 
     M[h0](s) = (-1)^N  prod_{j=0}^{N-1} (s+j)^(-1)  M[h0^(N)](s + N)
 
@@ -84,9 +84,6 @@ _BUMP_POLYS = _bump_polynomials(MAX_DERIVATIVE_ORDER)
 
 def _bump_derivative(t: np.ndarray, k: int) -> np.ndarray:
     """h0^(k) on 1 < t < 2 by the quotient-rule recurrence of the module docstring."""
-    if k == 0:
-        left = np.exp(-1.0 / (2.0 - t))
-        return left / (left + np.exp(-1.0 / (t - 1.0)))
     xl, xr = 2.0 - t, t - 1.0
     fl, fr = np.exp(-1.0 / xl), np.exp(-1.0 / xr)
     num, den = [], []

@@ -207,6 +207,18 @@ def test_balance_independence():
             assert abs(a - b) <= 2e-9, (q, chi.label)
 
 
+def test_balance_independence_at_the_largest_moduli():
+    # across the whole balance range, at the top of the supported moduli
+    for q in (99991, lf.MAX_MODULUS):
+        chars = lf.enumerate_characters(q)
+        for chi in (chars[0], chars[len(chars) // 3], chars[-1]):
+            ref = lf.l_central(chi, 1e-9)
+            bound = lf._afe_weights(q, chi.parity, 1.0, 1e-9).error_bound
+            for balance in (0.2, 5.0):
+                other = lf._afe_weights(q, chi.parity, balance, 1e-9).error_bound
+                assert abs(lf.l_central(chi, 1e-9, balance) - ref) <= bound + other, (q, chi.label)
+
+
 def test_conjugation_symmetry():
     for q in (7, 29):
         for chi in lf.enumerate_characters(q)[:4]:
@@ -238,12 +250,13 @@ def test_weight_tables_match_contour_sum(q):
                 assert np.all(diff <= err + rounding), (q, parity, balance, side)
 
 
-def test_low_degree_table_bound_holds_and_is_sharp():
+def test_low_degree_table_bound_holds_and_is_sharp(monkeypatch):
     # at degree 8 the interpolation error dominates rounding, so the bound shows
+    monkeypatch.setattr(lf, "_TABLE_DEGREE", 8)
     u = np.linspace(-2.0, 6.0, 3001)
     for parity in (0, 1):
         for side in (1, 2):
-            table, err = lf._weight_table(parity, side, 8)(u)
+            table, err = lf._weight_table.__wrapped__(parity, side)(u)
             direct, rounding = _direct_weights(parity, side, u)
             ratio = np.abs(table - direct) / (err + rounding)
             assert np.max(ratio) <= 1.0
@@ -262,18 +275,23 @@ def test_weight_argument_outside_table_raises():
 
 
 def test_afe_budget_counts_the_tables():
-    # at q = 99991 the series tails are far below 1e-9, but the tables' bound
-    # (mostly the rounding of the contour sums at small n) lifts the total past it
-    q, scale = 99991, math.sqrt(99991 / math.pi)
-    tables = 0.0
-    for side in (1, 2):
-        n, tail = lf._series_length(1, scale, side, 1e-9 / 4)
-        assert tail < 1e-10
-        ns = np.arange(1, n + 1, dtype=float)
-        tables += float(np.sum(lf._weight_table(1, side)(np.log(ns / scale))[1] / np.sqrt(ns)))
+    # the default target certifies at the largest weight scale the inputs allow,
+    # q = MAX_MODULUS at either end of the balance range, with the tables' bound counted
+    q = lf.MAX_MODULUS
+    scale = math.sqrt(q / math.pi)
+    for parity in (0, 1):
+        for balance in (0.2, 1.0, 5.0):
+            wts = lf._afe_weights(q, parity, balance, 1e-9)
+            tables = 0.0
+            for side, x in ((1, balance * scale), (2, scale / balance)):
+                n, _ = lf._series_length(parity, x, side, 1e-9 / 4)
+                ns = np.arange(1, n + 1, dtype=float)
+                tables += float(np.sum(lf._weight_table(parity, side)(np.log(ns / x))[1] / np.sqrt(ns)))
+            assert tables < wts.error_bound <= 1e-9, (parity, balance)
+    # a target below the tables' own bound is refused with that bound
     with pytest.raises(lf.AfeError, match="achieved bound") as exc:
-        lf._afe_weights(q, 1, 1.0, 1e-9)
-    assert exc.value.achieved > max(1e-9, tables) and tables > 5e-10
+        lf._afe_weights(99991, 1, 1.0, 1e-13)
+    assert exc.value.achieved > 1e-13
 
 
 def test_l_central_input_guards():
