@@ -12,10 +12,11 @@ mellin    smooth cutoff, its Mellin transform via integration by parts,
 lfunc     Dirichlet characters, central L-values by smoothed approximate
           functional equation, Hurwitz-zeta oracle, conductor-exponent scans
 cli       batch commands: verify | oracle | lvalue | scan | mellin
-"""
 
-from .symring import EvalPoint, RatFunc, SymElem
+Import the modules themselves (from zetalab import lfunc); the numeric ones,
+mellin and lfunc, load no sympy.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = ["SymElem", "EvalPoint", "RatFunc", "__version__"]
+__all__ = ["__version__"]

@@ -2,9 +2,10 @@
 
 The character group mod q is one cached CharacterGroup: the unit group split
 into cyclic components with explicit generators, and the discrete logs of
-every unit on them.  A character is an index k on the dual grid; parity,
-conductor and primitivity are integer computations on k, and its value table
-(exact integer phases) is built only when read.  CharacterGroup.sums gives
+every unit on them.  A character is nothing but (q, index k) on the dual
+grid: parity (CharacterGroup.parity, one rule for one index or an array),
+conductor, primitivity and label are read off k, and its value table (exact
+integer phases) is built only when read.  CharacterGroup.sums gives
 sum_r chi(r) f(r) for every chi at once by one FFT over the discrete-log grid.
 
 Central values are computed two independent ways:
@@ -44,6 +45,11 @@ Central values are computed two independent ways:
       bounded by their values on the real axis).
   The values M[h0](s) and the gamma ratios at the contour nodes are taken
   as exact: their own evaluation errors are not in the budget.
+
+  The combination is written once (_central_values) in terms of the
+  character sums sum_r chi(r) f(r): l_central passes dot products against
+  one character's values, the scan passes group transforms gathered at the
+  primitive indices of one parity, and both check the Gauss sums there.
 
 * l_oracle_hurwitz: L(s, chi) = q^(-s) sum_a chi(a) zeta_H(s, a/q) with the
   Hurwitz zeta evaluated by Euler-Maclaurin (50 direct terms, Bernoulli
@@ -186,6 +192,16 @@ class CharacterGroup:
             return np.fft.fftn(grid, axes=axes)
         return np.fft.ifftn(grid, axes=axes, norm="forward")
 
+    def parity(self, index):
+        """0 for even and 1 for odd chi_k, for one index k or an array of them (one per row).
+
+        chi_k(-1) = (-1)^(sum_i 2 k_i c_i / n_i) with c_i the logs of -1 =
+        units[-1]; each 2 c_i / n_i is an integer because (-1)^2 = 1.
+        """
+        half_turns = 2 * self.coords[:, -1] // np.array(self.orders, dtype=np.int64)
+        out = np.asarray(index, dtype=np.int64) @ half_turns % 2
+        return int(out) if out.ndim == 0 else out
+
 
 @lru_cache(maxsize=512)
 def character_group(q: int) -> CharacterGroup:
@@ -197,6 +213,8 @@ def character_group(q: int) -> CharacterGroup:
     """
     if q < 1:
         raise LfuncError("modulus must be >= 1")
+    if q > MAX_MODULUS:
+        raise LfuncError(f"modulus limit is {MAX_MODULUS}")
     comps: list = []
     tables: list = []
     for p, e in factorize(q):
@@ -245,22 +263,33 @@ def character_group(q: int) -> CharacterGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirichletCharacter:
-    """A Dirichlet character mod q: its index on the character group.
+    """A Dirichlet character mod q: the index k of chi_k on character_group(q).
 
-    values[n] is chi(n mod q), built on first access from exact integer
-    phases.  parity is 0 for even and 1 for odd characters; gauss is filled
-    on first use.
+    parity (0 for even, 1 for odd characters), conductor, primitivity and
+    label are read off the index; values[n] is chi(n mod q), built on first
+    read from exact integer phases.
     """
 
     q: int
     index: tuple
-    parity: int
-    conductor: int
-    is_primitive: bool
-    label: str
-    gauss: Optional[complex] = None
+
+    @property
+    def parity(self) -> int:
+        return character_group(self.q).parity(self.index)
+
+    @property
+    def conductor(self) -> int:
+        return _conductor_of_index(character_group(self.q), self.index)
+
+    @property
+    def is_primitive(self) -> bool:
+        return self.conductor == self.q
+
+    @property
+    def label(self) -> str:
+        return ".".join(map(str, self.index)) if self.index else "0"
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -277,7 +306,8 @@ class DirichletCharacter:
         return complex(self.values[n % self.q])
 
     def conj(self) -> "DirichletCharacter":
-        return _make_character(self.q, tuple(-k for k in self.index))
+        orders = character_group(self.q).orders
+        return DirichletCharacter(self.q, tuple(-k % n for k, n in zip(self.index, orders)))
 
     def __repr__(self) -> str:
         tag = "primitive" if self.is_primitive else f"conductor {self.conductor}"
@@ -315,27 +345,6 @@ def _conductor_of_index(group: CharacterGroup, index: tuple) -> int:
     return cond
 
 
-def _make_character(q: int, index: tuple, conductor: Optional[int] = None) -> DirichletCharacter:
-    """The character of an index; a conductor already known is not recomputed."""
-    group = character_group(q)
-    if len(index) != len(group.orders):
-        raise LfuncError("index length does not match the unit-group decomposition")
-    index = tuple(int(k) % n for k, n in zip(index, group.orders))
-    # chi(-1) = (-1)^(sum_i 2 k_i c_i / n_i) with c_i the logs of -1 = units[-1];
-    # each 2 c_i / n_i is an integer because (-1)^2 = 1
-    minus_one = zip(index, group.coords[:, -1], group.orders)
-    half_turns = sum(k * (2 * int(c) // n) for k, c, n in minus_one)
-    cond = _conductor_of_index(group, index) if conductor is None else conductor
-    return DirichletCharacter(
-        q=q,
-        index=index,
-        parity=half_turns % 2,
-        conductor=cond,
-        is_primitive=(cond == q),
-        label=".".join(str(k) for k in index) if index else "0",
-    )
-
-
 @lru_cache(maxsize=64)
 def _root_table(exponent: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(exponent) / exponent)
@@ -343,10 +352,8 @@ def _root_table(exponent: int) -> np.ndarray:
 
 def all_characters(q: int) -> list:
     """Every Dirichlet character mod q, in lexicographic index order."""
-    if q > MAX_MODULUS:
-        raise LfuncError(f"modulus limit is {MAX_MODULUS}")
     orders = character_group(q).orders
-    return [_make_character(q, idx) for idx in itertools.product(*map(range, orders))]
+    return [DirichletCharacter(q, idx) for idx in itertools.product(*map(range, orders))]
 
 
 def _primitive_range(c: _Component) -> Sequence[int]:
@@ -362,19 +369,21 @@ def enumerate_characters(q: int) -> list:
     Primitivity is a condition on each component of the index (its local
     conductor is the full prime power), so only the primitive indices are built.
     """
-    if q > MAX_MODULUS:
-        raise LfuncError(f"modulus limit is {MAX_MODULUS}")
     group = character_group(q)
     if q % 4 == 2:
         return []  # no character mod 2 has conductor 2
     ranges = map(_primitive_range, group.components)
-    return [_make_character(q, idx, conductor=q) for idx in itertools.product(*ranges)]
+    return [DirichletCharacter(q, idx) for idx in itertools.product(*ranges)]
 
 
 def character_by_label(q: int, label: str) -> DirichletCharacter:
     """Look up a character mod q by its dot-joined exponent label."""
-    trivial = not character_group(q).orders and label in ("", "0")
-    return _make_character(q, () if trivial else tuple(int(p) for p in label.split(".")))
+    orders = character_group(q).orders
+    trivial = not orders and label in ("", "0")
+    index = () if trivial else tuple(int(p) for p in label.split("."))
+    if len(index) != len(orders):
+        raise LfuncError("index length does not match the unit-group decomposition")
+    return DirichletCharacter(q, tuple(k % n for k, n in zip(index, orders)))
 
 
 def primitive_character_count(q: int) -> int:
@@ -397,22 +406,37 @@ def primitive_character_count(q: int) -> int:
     return sum(mu(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
 
 
+def _value_sums(chi: DirichletCharacter):
+    """The sums of _central_values for one character, as dot products of length q.
+
+    One character does not go through the group FFT, whose length phi(q)
+    can have a large prime factor (277 at q = 9973).
+    """
+
+    def sums(f, conj: bool = False) -> complex:
+        return complex(np.vdot(chi.values, f) if conj else chi.values @ f)  # vdot conjugates
+
+    return sums
+
+
 def _check_gauss(q: int, tau) -> None:
     """|tau(chi)| = sqrt(q) for primitive chi; anything else means corrupt data."""
     if np.any(np.abs(np.abs(tau) - math.sqrt(q)) > 1e-8 * math.sqrt(q)):
         raise LfuncError("Gauss sum modulus check failed; character data corrupt")
 
 
+def _gauss_sums(q: int, sums):
+    """tau(chi) = sums(e(r/q)) for the characters sums ranges over, checked."""
+    tau = sums(np.exp(2j * np.pi * np.arange(q) / q))
+    _check_gauss(q, tau)
+    return tau
+
+
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum_a chi(a) e(a/q); primitive characters only, cached."""
+    """tau(chi) = sum_a chi(a) e(a/q); primitive characters only."""
     if not chi.is_primitive:
         raise LfuncError("Gauss sums are computed for primitive characters only")
-    if chi.gauss is None:
-        q = chi.q
-        tau = complex(np.sum(chi.values * np.exp(2j * np.pi * np.arange(q) / q)))
-        _check_gauss(q, tau)
-        chi.gauss = tau
-    return chi.gauss
+    return _gauss_sums(chi.q, _value_sums(chi))
 
 
 def root_number(chi: DirichletCharacter) -> complex:
@@ -780,6 +804,21 @@ def _afe_weights(q: int, parity: int, x_rel: float, target: float) -> _AfeWeight
     return _AfeWeights(n1=n1, w1=w1, n2=n2, w2=w2, error_bound=err)
 
 
+def _central_values(q: int, parity: int, sums, target: float, balance: float):
+    """L(1/2, chi) by the AFE for every character that sums ranges over.
+
+    sums(f, conj) is sum_r chi(r) f(r), with conj(chi) when conj, for f on
+    the residues mod q: for one character (_value_sums) or for an array of
+    characters of one parity (group transforms).  Folding each weight
+    sequence mod q turns sum_n chi(n) w[n] into sum_r chi(r) W[r].
+    """
+    wts = _afe_weights(q, parity, float(balance), float(target))
+    tau = _gauss_sums(q, sums)
+    w1, w2 = (np.bincount(np.arange(1, len(w) + 1) % q, weights=w, minlength=q)
+              for w in (wts.w1, wts.w2))
+    return sums(w1) - tau / (1j**parity * math.sqrt(q)) * sums(w2, conj=True)
+
+
 def l_central(chi: DirichletCharacter, target_abs_error: float = 1e-9,
               balance: float = 1.0) -> complex:
     """L(1/2, chi) by the smoothed approximate functional equation.
@@ -795,13 +834,7 @@ def l_central(chi: DirichletCharacter, target_abs_error: float = 1e-9,
         raise LfuncError("central values start at modulus 3")
     if not chi.is_primitive:
         raise LfuncError("l_central requires a primitive character")
-    wts = _afe_weights(q, chi.parity, float(balance), float(target_abs_error))
-    eps = root_number(chi)
-    idx1 = np.arange(1, wts.n1 + 1) % q
-    s1 = complex(np.sum(chi.values[idx1] * wts.w1))
-    idx2 = np.arange(1, wts.n2 + 1) % q
-    s2 = complex(np.sum(np.conj(chi.values[idx2]) * wts.w2))
-    return s1 - eps * s2
+    return _central_values(q, chi.parity, _value_sums(chi), target_abs_error, balance)
 
 
 # ---------------------------------------------------------------------------
@@ -830,34 +863,27 @@ class FitResult:
 def _modulus_maximum(q: int, target_abs_error: float) -> Optional[tuple]:
     """(max |L(1/2, chi)|, label) over the primitive characters mod q.
 
-    Every sum comes from a transform over the character group: e(r/q) gives
-    the Gauss sums, and per parity the AFE weights, folded mod q, give the
-    two lacunary sums of every character at once.
+    Per parity, every sum of the AFE comes from one transform over the
+    character group, gathered at that parity's primitive indices.
     """
     chars = enumerate_characters(q)
     if not chars:
         return None
     group = character_group(q)
-    taus = group.sums(np.exp(2j * np.pi * np.arange(q) / q))
-    best, best_label = -1.0, ""
+    indices = np.array([chi.index for chi in chars])
+    parities = group.parity(indices)
+    best, best_k = -1.0, 0
     for parity in (0, 1):
-        family = [chi for chi in chars if chi.parity == parity]
-        if not family:
+        family = np.flatnonzero(parities == parity)
+        if not family.size:
             continue
-        at = tuple(np.array([chi.index for chi in family]).T)
-        wts = _afe_weights(q, parity, 1.0, float(target_abs_error))
-        tau = taus[at]
-        _check_gauss(q, tau)
-        # fold each weight sequence mod q: sum_n chi(n) w[n] = sum_r chi(r) W[r]
-        w1, w2 = (np.bincount(np.arange(1, len(w) + 1) % q, weights=w, minlength=q)
-                  for w in (wts.w1, wts.w2))
-        s1 = group.sums(w1)[at]
-        s2 = group.sums(w2, conj=True)[at]
-        vals = np.abs(s1 - tau / (1j**parity * math.sqrt(q)) * s2)
+        at = tuple(indices[family].T)
+        sums = lambda f, conj=False: group.sums(f, conj)[at]  # noqa: E731
+        vals = np.abs(_central_values(q, parity, sums, target_abs_error, 1.0))
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best, best_label = float(vals[k]), family[k].label
-    return best, best_label
+            best, best_k = float(vals[k]), family[k]
+    return best, chars[best_k].label
 
 
 def scan(q_min: int, q_max: int, stride: int = 1, target_abs_error: float = 1e-8,

@@ -28,7 +28,7 @@ are removable and never enter a denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -50,7 +50,6 @@ __all__ = [
     "L_MAX_RATIO",
     "CosetMassTable",
     "ClassicalVectorTable",
-    "TransitionTable",
     "LocalZetaClosedForm",
     "BoundCheckReport",
     "coset_masses",
@@ -58,7 +57,6 @@ __all__ = [
     "dimension",
     "mu_factor",
     "intertwining_eigenvalue",
-    "transition_coeffs",
     "transition_coeff",
     "tilde_c",
     "solve_transition",
@@ -318,27 +316,6 @@ def transition_coeff(n: int, l: int, svar: str = "s0") -> SymElem:
     for i in range(n - l + 1):
         body = body + t_pow(svar, -(n - 2 * i))
     return -q_pow(-(n - l)) * body * (1 - _QINV * t2) * _SQRT_RATIO_DOWN
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    n_max: int
-    svar: str = "s0"
-    entries: dict = field(default_factory=dict)
-
-    def c(self, n: int, l: int) -> SymElem:
-        return self.entries[(n, l)]
-
-
-def transition_coeffs(n_max: int, svar: str = "s0") -> TransitionTable:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > N_MAX:
-        raise ValueError(f"table depth capped at {N_MAX}")
-    entries = {
-        (n, l): transition_coeff(n, l, svar) for n in range(n_max + 1) for l in range(n + 1)
-    }
-    return TransitionTable(n_max=n_max, svar=svar, entries=entries)
 
 
 def tilde_c(n: int, l: int, svar: str = "s0") -> SymElem:

@@ -38,9 +38,7 @@ from numpy.polynomial import polynomial as npoly
 __all__ = [
     "MellinError",
     "MellinPoleError",
-    "SmoothCutoff",
     "TruncationWindow",
-    "DEFAULT_CUTOFF",
     "h0_eval",
     "mellin_h0",
     "mellin_one_minus_h0",
@@ -98,35 +96,20 @@ def _bump_derivative(t: np.ndarray, k: int) -> np.ndarray:
     return h[k]
 
 
-class SmoothCutoff:
-    """The cutoff h0 with derivative evaluation up to a fixed order."""
-
-    def __init__(self, n_max: int = MAX_DERIVATIVE_ORDER):
-        if n_max > MAX_DERIVATIVE_ORDER:
-            raise MellinError(f"derivative order capped at {MAX_DERIVATIVE_ORDER}")
-        self.n_max = n_max
-
-    def eval(self, t, k: int = 0):
-        """k-th derivative of h0 at t (scalar or array); exact off (1, 2)."""
-        if k < 0 or k > self.n_max:
-            raise MellinError(f"derivative order {k} unsupported (max {self.n_max})")
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
-            raise MellinError("h0 is defined for t >= 0")
-        out = np.zeros_like(arr)
-        inside = (arr > 1.0 + 1e-12) & (arr < 2.0 - 1e-12)
-        if k == 0:
-            out[arr <= 1.0 + 1e-12] = 1.0
-        if np.any(inside):
-            out[inside] = _bump_derivative(arr[inside], k)
-        return out if out.shape else float(out)
-
-
-DEFAULT_CUTOFF = SmoothCutoff()
-
-
-def h0_eval(t: float, k: int = 0) -> float:
-    return DEFAULT_CUTOFF.eval(t, k)
+def h0_eval(t, k: int = 0):
+    """k-th derivative of h0 at t (scalar or array); exact off (1, 2)."""
+    if k < 0 or k > MAX_DERIVATIVE_ORDER:
+        raise MellinError(f"derivative order {k} unsupported (max {MAX_DERIVATIVE_ORDER})")
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise MellinError("h0 is defined for t >= 0")
+    out = np.zeros_like(arr)
+    inside = (arr > 1.0 + 1e-12) & (arr < 2.0 - 1e-12)
+    if k == 0:
+        out[arr <= 1.0 + 1e-12] = 1.0
+    if np.any(inside):
+        out[inside] = _bump_derivative(arr[inside], k)
+    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +149,12 @@ def _panel_quad(f: Callable, a: float, b: float, abs_tol: float = QUAD_ABS_TOL) 
 # ---------------------------------------------------------------------------
 
 
-def _bump_mellin_integral(s: complex, k: int, cutoff: SmoothCutoff) -> complex:
+def _bump_mellin_integral(s: complex, k: int) -> complex:
     """integral over [1, 2] of h0^(k)(t) t^(s-1) dt."""
-    return _panel_quad(lambda x: cutoff.eval(x, k) * np.exp((s - 1) * np.log(x)), 1.0, 2.0)
+    return _panel_quad(lambda x: h0_eval(x, k) * np.exp((s - 1) * np.log(x)), 1.0, 2.0)
 
 
-def mellin_h0(s: complex, order: int = 0, cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> complex:
+def mellin_h0(s: complex, order: int = 0) -> complex:
     """M[h0](s) computed through the order-N integration-by-parts ladder.
 
     order = 0 uses the defining integral and needs Re s > 0 (the plateau
@@ -180,18 +163,18 @@ def mellin_h0(s: complex, order: int = 0, cutoff: SmoothCutoff = DEFAULT_CUTOFF)
     where their domains overlap.  The simple pole at s = 0 has residue 1.
     """
     s = complex(s)
-    if order < 0 or order > cutoff.n_max:
-        raise MellinError(f"order must be between 0 and {cutoff.n_max}")
+    if order < 0 or order > MAX_DERIVATIVE_ORDER:
+        raise MellinError(f"order must be between 0 and {MAX_DERIVATIVE_ORDER}")
     if order == 0:
         if s.real <= 0:
             raise MellinError("order 0 requires Re s > 0")
-        return 1.0 / s + _bump_mellin_integral(s, 0, cutoff)
+        return 1.0 / s + _bump_mellin_integral(s, 0)
     if s.real <= -order:
         raise MellinError(f"order {order} requires Re s > {-order}")
     for j in range(order):
         if abs(s + j) < 1e-12:
             raise MellinPoleError(f"s = {-j} is a pole of the order-{order} ladder")
-    value = _bump_mellin_integral(s + order, order, cutoff)
+    value = _bump_mellin_integral(s + order, order)
     for j in range(order):
         value /= s + j
     if order % 2:
@@ -199,8 +182,7 @@ def mellin_h0(s: complex, order: int = 0, cutoff: SmoothCutoff = DEFAULT_CUTOFF)
     return complex(value)
 
 
-def mellin_h0_batch(svals: np.ndarray, order: int = 4,
-                    cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> np.ndarray:
+def mellin_h0_batch(svals: np.ndarray, order: int = 4) -> np.ndarray:
     """Vectorised M[h0] over an array of points, all with the same ladder order.
 
     Uses one fixed 16-panel, 32-node Gauss rule on [1, 2] shared by every
@@ -209,8 +191,8 @@ def mellin_h0_batch(svals: np.ndarray, order: int = 4,
     poles inside the batch raise, as in the scalar path.
     """
     svals = np.asarray(svals, dtype=complex)
-    if order < 1 or order > cutoff.n_max:
-        raise MellinError(f"batch order must be between 1 and {cutoff.n_max}")
+    if order < 1 or order > MAX_DERIVATIVE_ORDER:
+        raise MellinError(f"batch order must be between 1 and {MAX_DERIVATIVE_ORDER}")
     if np.any(svals.real <= -order):
         raise MellinError(f"order {order} requires Re s > {-order}")
     for j in range(order):
@@ -223,7 +205,7 @@ def mellin_h0_batch(svals: np.ndarray, order: int = 4,
         xs.append(mid + half * _GL_NODES)
         ws.append(half * _GL_WEIGHTS)
     x = np.concatenate(xs)
-    w = np.concatenate(ws) * cutoff.eval(x, order)
+    w = np.concatenate(ws) * h0_eval(x, order)
     powers = np.exp(np.outer(svals + order - 1, np.log(x)))  # (npts, nx)
     vals = powers @ w
     for j in range(order):
@@ -233,7 +215,7 @@ def mellin_h0_batch(svals: np.ndarray, order: int = 4,
     return vals
 
 
-def mellin_h0_continued(s: complex, cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> complex:
+def mellin_h0_continued(s: complex) -> complex:
     """M[h0](s) by the plateau split 1/s + integral over [1, 2] of h0 t^(s-1).
 
     The bump integral is entire, so this continues M[h0] to every s != 0 and
@@ -243,20 +225,20 @@ def mellin_h0_continued(s: complex, cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> co
     s = complex(s)
     if abs(s) < 1e-12:
         raise MellinPoleError("s = 0 is the (only) pole of M[h0], residue 1")
-    return complex(1.0 / s + _bump_mellin_integral(s, 0, cutoff))
+    return complex(1.0 / s + _bump_mellin_integral(s, 0))
 
 
-def _auto_order(s: complex, cutoff: SmoothCutoff) -> int:
+def _auto_order(s: complex) -> int:
     if s.real > 0.25:
         return 0
     need = int(math.floor(-s.real)) + 1
     order = max(1, need)
-    if order > cutoff.n_max:
-        raise MellinError(f"Re s = {s.real} needs order > {cutoff.n_max}")
+    if order > MAX_DERIVATIVE_ORDER:
+        raise MellinError(f"Re s = {s.real} needs order > {MAX_DERIVATIVE_ORDER}")
     return order
 
 
-def mellin_one_minus_h0(s: complex, cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> complex:
+def mellin_one_minus_h0(s: complex) -> complex:
     """M[1 - h0](s) = -M[h0](s), continued past the defining strip.
 
     Uses the integration-by-parts ladder of the matching order; within .05
@@ -264,13 +246,13 @@ def mellin_one_minus_h0(s: complex, cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> co
     removable 0/0) it switches to the stable plateau-split continuation.
     """
     s = complex(s)
-    order = _auto_order(s, cutoff)
+    order = _auto_order(s)
     if any(abs(s + j) < 0.05 for j in range(order)):
-        return -mellin_h0_continued(s, cutoff)
-    return -mellin_h0(s, order, cutoff)
+        return -mellin_h0_continued(s)
+    return -mellin_h0(s, order)
 
 
-def mellin_one_minus_h0_direct(s: complex, cutoff: SmoothCutoff = DEFAULT_CUTOFF) -> complex:
+def mellin_one_minus_h0_direct(s: complex) -> complex:
     """Defining integral of M[1 - h0], convergent only for Re s < 0.
 
     Splits as a bump integral on [1, 2] plus the closed plateau tail
@@ -280,9 +262,7 @@ def mellin_one_minus_h0_direct(s: complex, cutoff: SmoothCutoff = DEFAULT_CUTOFF
     s = complex(s)
     if s.real >= 0:
         raise MellinError("the defining integral needs Re s < 0")
-    bump = _panel_quad(
-        lambda x: (1.0 - cutoff.eval(x, 0)) * np.exp((s - 1) * np.log(x)), 1.0, 2.0
-    )
+    bump = _panel_quad(lambda x: (1.0 - h0_eval(x, 0)) * np.exp((s - 1) * np.log(x)), 1.0, 2.0)
     return complex(bump - 2.0**s / s)
 
 
@@ -306,7 +286,6 @@ class TruncationWindow:
 
     a: float
     b: float
-    cutoff: SmoothCutoff = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if not (0 < self.a < self.b):
@@ -314,7 +293,7 @@ class TruncationWindow:
 
     def eval(self, t):
         arr = np.asarray(t, dtype=float)
-        out = self.cutoff.eval(arr / self.b, 0) - self.cutoff.eval(arr / self.a, 0)
+        out = h0_eval(arr / self.b, 0) - h0_eval(arr / self.a, 0)
         return out if np.shape(out) else float(out)
 
 

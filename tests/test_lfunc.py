@@ -45,8 +45,14 @@ def test_conductor_matches_definition():
 
 def test_parity_matches_value_at_minus_one():
     for q in (5, 8, 12, 21, 40):
-        for chi in lf.all_characters(q):
+        chars = lf.all_characters(q)
+        for chi in chars:
             assert abs(chi(q - 1) - (-1) ** chi.parity) < 1e-12, (q, chi.label)
+        # the vectorised rule the scan uses gives the same parities
+        parities = lf.character_group(q).parity(np.array([chi.index for chi in chars]))
+        for chi, parity in zip(chars, parities, strict=True):
+            assert parity == chi.parity, (q, chi.label)
+            assert abs(chi(-1) - (-1) ** parity) < 1e-12, (q, chi.label)
 
 
 def test_complete_multiplicativity():
@@ -300,6 +306,9 @@ def test_l_central_input_guards():
         lf.l_central(imprim)
     with pytest.raises(lf.LfuncError):
         lf.l_central(lf.enumerate_characters(3)[0], balance=100.0)
+    # past the moduli the weight tables cover, as the scan refuses them
+    with pytest.raises(lf.LfuncError, match="modulus limit is 100000"):
+        lf.l_central(lf.character_by_label(199999, "5"))
 
 
 # -- scan and fit ------------------------------------------------------------------------

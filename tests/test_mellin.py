@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_plateau_and_support():
 
 def test_monotone_on_transition():
     ts = np.linspace(1.001, 1.999, 400)
-    vals = ml.DEFAULT_CUTOFF.eval(ts, 0)
+    vals = ml.h0_eval(ts, 0)
     assert np.all(np.diff(vals) <= 1e-12)
     assert np.all((vals >= 0) & (vals <= 1))
 
@@ -53,11 +54,13 @@ def test_derivative_recurrence_against_sympy():
         for k in range(5):
             exact_at = sp.lambdify(t, sp.diff(expr, t, k), "mpmath")
             exact = np.array([float(exact_at(mpmath.mpf(float(x)))) for x in ts])
-            got = ml.DEFAULT_CUTOFF.eval(ts, k)
+            got = ml.h0_eval(ts, k)
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact)), k
 
 
 def test_mellin_module_runs_without_sympy():
+    # mellin alone, then the package's lfunc, with every sympy import failing
+    src = str(Path(ml.__file__).resolve().parent.parent)
     code = (
         "import importlib.util, sys\n"
         "sys.modules['sympy'] = None\n"
@@ -66,14 +69,21 @@ def test_mellin_module_runs_without_sympy():
         "sys.modules['mellin_alone'] = mod\n"
         "spec.loader.exec_module(mod)\n"
         "print(repr(mod.h0_eval(1.3, 4)))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from zetalab import lfunc\n"
+        "print(repr(lfunc.l_central(lfunc.character_by_label(5, '2'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert float(out.stdout) == ml.h0_eval(1.3, 4)
+    h0_line, l_line = out.stdout.split()
+    assert float(h0_line) == ml.h0_eval(1.3, 4)
+    from zetalab import lfunc
+
+    assert complex(l_line) == lfunc.l_central(lfunc.character_by_label(5, "2"))
 
 
 def test_fundamental_theorem_on_derivative():
     xs = np.linspace(1, 2, 20001)
-    val = np.trapezoid(ml.DEFAULT_CUTOFF.eval(xs, 1), xs)
+    val = np.trapezoid(ml.h0_eval(xs, 1), xs)
     assert abs(val + 1) < 1e-8  # h0(2) - h0(1) = -1
 
 
