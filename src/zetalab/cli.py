@@ -133,10 +133,7 @@ def _symbolic_checks(config: RunConfig):
     for l in range(0, min(config.lmax, n) + 1):
         yield f"dual_ratio[l={l}]", locgl2.dual_ratio_residual(l)
     # the one-variable ratios satisfy the defining translate identity
-    ratios = [
-        locgl2.zeta_ratio(l, method="display" if l <= 2 else "solve").value
-        for l in range(0, min(config.lmax, n) + 1)
-    ]
+    ratios = [locgl2.zeta_ratio(l).value for l in range(0, min(config.lmax, n) + 1)]
     for nn in range(len(ratios)):
         acc = -SymElem.monomial("T", nn)
         for l in range(nn + 1):
@@ -400,16 +397,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None, help="write the report/CSV here")
 
     pv = sub.add_parser("verify", help="symbolic identity suite and golden pins")
     common(pv)
+    pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--nmax", type=int, default=6)
     pv.add_argument("--lmax", type=int, default=6)
 
     po = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
     common(po)
+    po.add_argument("--seed", type=int, default=DEFAULT_SEED)
     po.add_argument("--npoints", type=int, default=20)
     po.add_argument("--tol", type=float, default=1e-9)
 
@@ -473,23 +471,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = cmd_oracle(config)
         _write_or_print(_dumps(report), config.out)
         return 0 if report["passed"] else 1
-    if args.command == "lvalue":
-        report = cmd_lvalue(config)
-        _write_or_print(_dumps(report), config.out)
-        return 0 if report.get("pass", True) else 1
-    if args.command == "scan":
-        records, summary = cmd_scan(config)
-        csv_text = scan_csv(records)
-        if config.out:
-            with open(config.out, "w") as fh:
-                fh.write(csv_text)
-            summary_path = config.out + ".summary.json"
-            with open(summary_path, "w") as fh:
-                fh.write(_dumps(summary))
-        else:
-            sys.stdout.write(csv_text)
-            sys.stdout.write(_dumps(summary))
-        return 0
+    try:
+        if args.command == "lvalue":
+            report = cmd_lvalue(config)
+            _write_or_print(_dumps(report), config.out)
+            return 0 if report.get("pass", True) else 1
+        if args.command == "scan":
+            records, summary = cmd_scan(config)
+            csv_text = scan_csv(records)
+            if config.out:
+                with open(config.out, "w") as fh:
+                    fh.write(csv_text)
+                summary_path = config.out + ".summary.json"
+                with open(summary_path, "w") as fh:
+                    fh.write(_dumps(summary))
+            else:
+                sys.stdout.write(csv_text)
+                sys.stdout.write(_dumps(summary))
+            return 0
+    except lfunc.LfuncError as exc:
+        print(f"zetalab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "mellin":
         result = cmd_mellin(config)
         if isinstance(result, str):

@@ -323,12 +323,18 @@ def tilde_c(n: int, l: int, svar: str = "s0") -> SymElem:
     return transition_coeff(n, l, svar) / transition_coeff(n, n, svar)
 
 
+def _recursion_weights(svar: str) -> tuple:
+    """The weights (-q^(-1/2)(1 + q^(-2v)), q^(-1-2v)) of rows n - 1 and n - 2."""
+    t2 = t_pow(svar, 2)
+    return -q_pow(-1) * (1 + t2), _QINV * t2
+
+
 def tilde_c_residual(n: int, l: int, svar: str = "s0") -> SymElem:
     """Three-term recursion defect of the tilde coefficients; zero when valid.
 
-    For n >= 4 the recursion has coefficients q^(-1/2)(1 + q^(-2 s0)) and
-    q^(-1-2 s0); at n = 3 the last coefficient carries an extra factor
-    (1 - q^-2)^(-1/2) because the l = 1 column is normalised differently.
+    Row n plus the _recursion_weights times rows n - 1 and n - 2 is the unit
+    vector; at n = 3 the last weight carries an extra factor (1 - q^-2)^(-1/2)
+    because the l = 1 column is normalised differently.
     """
     if n < 3:
         raise ValueError("recursion starts at n = 3")
@@ -336,64 +342,47 @@ def tilde_c_residual(n: int, l: int, svar: str = "s0") -> SymElem:
     def ct(nn: int, ll: int) -> SymElem:
         return tilde_c(nn, ll, svar) if ll <= nn else ZERO
 
-    t2 = t_pow(svar, 2)
-    mid = q_pow(-1) * (1 + t2)
+    mid, last = _recursion_weights(svar)
     if n == 3:
-        last = _QINV * t2 * _INV_SQRT_ONE_MINUS
-    else:
-        last = _QINV * t2
-    res = ct(n, l) - mid * ct(n - 1, l) + last * ct(n - 2, l)
+        last = last * _INV_SQRT_ONE_MINUS
+    res = ct(n, l) + mid * ct(n - 1, l) + last * ct(n - 2, l)
     if n == l:
         res = res - ONE
     return res
 
 
 def solve_transition(a_seq: Sequence[SymElem], svar: str = "s0") -> list:
-    """Invert a_n = sum_l c(n, l) zeta_l explicitly.
+    """Invert a_n = sum_l c(n, l) zeta_l by the three-term recursion.
 
-    Implements the displayed special cases for l <= 3 and the generic
-    three-term formula for l >= 4; the output satisfies the defining system
-    for every n < len(a_seq).
+    zeta_0 = a_0, and for l >= 1
+
+        zeta_l = sum_j w_j a_j/c(j, j) - (sum_j w_j c(j, 0)/c(j, j)) a_0
+
+    over j = l, l - 1, l - 2 with j >= 1, where w_l = 1 and w_(l-1), w_(l-2)
+    are the _recursion_weights that tilde_c_residual checks.  The l = 1
+    column is normalised differently, so the j = 1 weight carries the extra
+    factor (1 - q^-2)^(-1/2) from l = 2 on.  The output satisfies the
+    defining system for every n < len(a_seq).
     """
     if len(a_seq) - 1 > N_MAX:
         raise ValueError(f"sequence depth capped at {N_MAX + 1}")
     a = [x if isinstance(x, SymElem) else SymElem.from_rational(x) for x in a_seq]
-    n = len(a) - 1
-    c = lambda i, j: transition_coeff(i, j, svar)  # noqa: E731
-    t2 = t_pow(svar, 2)
+    lower = _recursion_weights(svar)
+    head, tail = {}, {}  # a_j/c(j, j) and c(j, 0)/c(j, j)
     out = [a[0]]
-    if n >= 1:
-        out.append(a[1] / c(1, 1) - c(1, 0) / c(1, 1) * a[0])
-    if n >= 2:
-        kappa = q_pow(-1) * (1 + t2) * _INV_SQRT_ONE_MINUS
-        out.append(
-            a[2] / c(2, 2)
-            - kappa * a[1] / c(1, 1)
-            + (-c(2, 0) / c(2, 2) + kappa * c(1, 0) / c(1, 1)) * a[0]
-        )
-    if n >= 3:
-        mid = q_pow(-1) * (1 + t2)
-        last = _QINV * t2 * _INV_SQRT_ONE_MINUS
-        out.append(
-            a[3] / c(3, 3)
-            - mid * a[2] / c(2, 2)
-            + last * a[1] / c(1, 1)
-            + (-c(3, 0) / c(3, 3) + mid * c(2, 0) / c(2, 2) - last * c(1, 0) / c(1, 1)) * a[0]
-        )
-    for l in range(4, n + 1):
-        mid = q_pow(-1) * (1 + t2)
-        last = _QINV * t2
-        out.append(
-            a[l] / c(l, l)
-            - mid * a[l - 1] / c(l - 1, l - 1)
-            + last * a[l - 2] / c(l - 2, l - 2)
-            + (
-                -c(l, 0) / c(l, l)
-                + mid * c(l - 1, 0) / c(l - 1, l - 1)
-                - last * c(l - 2, 0) / c(l - 2, l - 2)
-            )
-            * a[0]
-        )
+    for l in range(1, len(a)):
+        cll = transition_coeff(l, l, svar)
+        head[l] = a[l] / cll
+        tail[l] = transition_coeff(l, 0, svar) / cll
+        h, t = head[l], -tail[l]
+        for w, j in zip(lower, (l - 1, l - 2)):
+            if j < 1:
+                break
+            if j == 1:
+                w = w * _INV_SQRT_ONE_MINUS
+            h = h + w * head[j]
+            t = t - w * tail[j]
+        out.append(h + t * a[0])
     return out
 
 
@@ -445,34 +434,17 @@ def spherical_zeta() -> LocalZetaClosedForm:
     )
 
 
-def zeta_ratio(l: int, dual: bool = False, method: str = "auto") -> LocalZetaClosedForm:
+def zeta_ratio(l: int, dual: bool = False) -> LocalZetaClosedForm:
     """One-variable ratio zeta_l(s, s0) of the level-l value to the spherical one.
 
-    l = 1, 2 use the displayed closed forms; 3 <= l <= 6 are produced by
-    solve_transition applied to the sequence a_n = q^(-n s).  With dual=True
+    solve_transition applied to the sequence a_n = q^(-n s); for l = 1, 2
+    its recursion is the displayed closed form term for term.  With dual=True
     the ratio for the longest-Weyl translate is returned; it equals the plain
     ratio at -s, realised by inverting the T-variable.
     """
     if l < 0 or l > L_MAX_RATIO:
         raise ValueError(f"zeta ratios available for 0 <= l <= {L_MAX_RATIO}")
-    if method not in ("auto", "display", "solve"):
-        raise ValueError("method must be auto, display or solve")
-    use_display = (method == "display") or (method == "auto" and l <= 2)
-    if use_display and l > 2:
-        raise ValueError("displayed closed forms exist only for l <= 2")
-    if use_display:
-        if l == 0:
-            val = ONE
-        elif l == 1:
-            c10, c11 = transition_coeff(1, 0), transition_coeff(1, 1)
-            val = GEN_T / c11 - c10 / c11
-        else:
-            c10, c11 = transition_coeff(1, 0), transition_coeff(1, 1)
-            c20, c22 = transition_coeff(2, 0), transition_coeff(2, 2)
-            kappa = q_pow(-1) * (1 + t_pow("s0", 2)) * _INV_SQRT_ONE_MINUS
-            val = GEN_T**2 / c22 - kappa * GEN_T / c11 + (-c20 / c22 + kappa * c10 / c11)
-    else:
-        val = solve_transition([GEN_T**n for n in range(l + 1)])[l]
+    val = solve_transition([GEN_T**n for n in range(l + 1)])[l]
     if dual:
         val = val.invert_var("s")
     return LocalZetaClosedForm(kind="ratio_l", index=(l, "dual" if dual else "plain"), value=val)
@@ -480,7 +452,7 @@ def zeta_ratio(l: int, dual: bool = False, method: str = "auto") -> LocalZetaClo
 
 def dual_ratio_residual(l: int) -> SymElem:
     """zeta_l(-s, s0) minus the ratio solved from the dual system a_n = q^(n s)."""
-    direct = zeta_ratio(l, dual=True, method="auto" if l <= 2 else "solve").value
+    direct = zeta_ratio(l, dual=True).value
     solved = solve_transition([GEN_T ** (-n) for n in range(l + 1)])[l]
     return direct - solved
 
@@ -530,23 +502,15 @@ def rs_spherical_zeta() -> LocalZetaClosedForm:
 def rs_zeta_ratio(l: int) -> LocalZetaClosedForm:
     """Rankin-Selberg ratio zeta_l(s, s1, s2) for l = 1, 2.
 
-    The transition coefficients enter in the s1 variable; the prefactors
-    q^(-1/2) and 1/sqrt(q^2-1) are the inverse square roots of the K-type
+    solve_transition applied to the sequence rs_a_coeff(n), with the
+    transition coefficients in the s1 variable, times q^(-1/2) at l = 1 and
+    1/sqrt(q^2-1) at l = 2: the inverse square roots of the K-type
     dimensions, reduced into the quadratic extension.
     """
     if l not in (1, 2):
         raise ValueError("closed forms exist for l in {1, 2}")
-    a1 = rs_a_coeff(1).value
-    c10, c11 = transition_coeff(1, 0, "s1"), transition_coeff(1, 1, "s1")
-    if l == 1:
-        val = q_pow(-1) * (a1 / c11 - c10 / c11)
-    else:
-        a2 = rs_a_coeff(2).value
-        c20, c22 = transition_coeff(2, 0, "s1"), transition_coeff(2, 2, "s1")
-        kappa = q_pow(-1) * (1 + t_pow("s1", 2)) * _INV_SQRT_ONE_MINUS
-        val = _INV_SQRT_Q2M1 * (
-            a2 / c22 - kappa * a1 / c11 + (-c20 / c22 + kappa * c10 / c11)
-        )
+    solved = solve_transition([rs_a_coeff(n).value for n in range(l + 1)], "s1")[l]
+    val = (q_pow(-1) if l == 1 else _INV_SQRT_Q2M1) * solved
     return LocalZetaClosedForm(kind="rs_ratio_l", index=(l,), value=val)
 
 
@@ -647,16 +611,6 @@ class BoundCheckReport:
     cases: list
     worst_ratio: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "constant": self.constant,
-            "worst_ratio": self.worst_ratio,
-            "passed": self.passed,
-            "cases": self.cases,
-        }
 
 
 _DEFAULT_QS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)

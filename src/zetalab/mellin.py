@@ -46,7 +46,6 @@ __all__ = [
     "mellin_h0_batch",
     "mellin_one_minus_h0_direct",
     "window",
-    "window_eval",
     "measure_decay_constant",
 ]
 
@@ -299,7 +298,3 @@ class TruncationWindow:
 
 def window(a: float, b: float) -> TruncationWindow:
     return TruncationWindow(a=a, b=b)
-
-
-def window_eval(w: TruncationWindow, t) -> float:
-    return w.eval(t)

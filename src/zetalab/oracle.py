@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 MODULUS_LIMIT = 27
-TAIL_REL = 1e-12
 _RATIO_GUARD = 0.995
 
 
@@ -83,7 +82,7 @@ class CosetReport:
     group_order: int
 
 
-def coset_count(q: int, m: int, modulus_limit: int = MODULUS_LIMIT) -> CosetReport:
+def coset_count(q: int, m: int) -> CosetReport:
     """Enumerate GL2(Z/q^m) and classify by the valuation of the lower-left entry.
 
     Valuations 0 .. m-1 are the genuine double cosets; entries divisible by
@@ -92,8 +91,8 @@ def coset_count(q: int, m: int, modulus_limit: int = MODULUS_LIMIT) -> CosetRepo
     if m < 1:
         raise OracleError("m must be >= 1")
     mod = q**m
-    if mod > modulus_limit:
-        raise OracleError(f"modulus {mod} exceeds enumeration limit {modulus_limit}")
+    if mod > MODULUS_LIMIT:
+        raise OracleError(f"modulus {mod} exceeds enumeration limit {MODULUS_LIMIT}")
     rng = np.arange(mod, dtype=np.int64)
     a, b, c, d = np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True)
     det = (a * d - b * c) % mod

@@ -42,8 +42,6 @@ __all__ = [
     "GEN_Q",
     "GEN_T0",
     "GEN_T",
-    "GEN_T1",
-    "GEN_T2",
     "GEN_L",
     "GEN_S",
     "ZERO",
@@ -421,8 +419,6 @@ ONE = SymElem.from_rational(1)
 GEN_Q = SymElem.generator("Q")
 GEN_T0 = SymElem.generator("T0")
 GEN_T = SymElem.generator("T")
-GEN_T1 = SymElem.generator("T1")
-GEN_T2 = SymElem.generator("T2")
 GEN_L = SymElem.generator("L")
 GEN_S = SymElem.generator("S")
 

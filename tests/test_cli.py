@@ -73,7 +73,13 @@ def test_oracle_reproducible():
 
 
 def test_verify_rejects_unread_options(capsys):
-    for argv in (["verify", "--constant", "1"], ["verify", "--tol", "1e-3"]):
+    for argv in (
+        ["verify", "--constant", "1"],
+        ["verify", "--tol", "1e-3"],
+        ["lvalue", "--q", "4", "--label", "1", "--seed", "3"],
+        ["scan", "--seed", "3"],
+        ["mellin", "--seed", "3"],
+    ):
         with pytest.raises(SystemExit) as exc:
             run_main(argv)
         assert exc.value.code == 2
@@ -91,6 +97,18 @@ def test_lvalue_chi_minus_four(capsys):
 def test_lvalue_rejects_imprimitive():
     with pytest.raises(Exception):
         cli.cmd_lvalue(cli.RunConfig(q=8, label="0.0"))
+
+
+def test_bad_lvalue_and_scan_input_is_one_line(capsys):
+    for argv, message in (
+        (["lvalue", "--q", "199999", "--label", "5"], "modulus limit is 100000"),
+        (["scan", "--qmin", "2", "--qmax", "5"], "need 3 <= q_min <= q_max"),
+    ):
+        assert run_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_mellin_point_and_grid(capsys):

@@ -134,16 +134,25 @@ def test_unitarity():
 
 
 def test_roundtrip_on_symbolic_sequence():
-    seq = [ONE, GEN_T, ZERO, GEN_T**2 - 1, q_pow(1) * GEN_T, SymElem.from_rational(Fraction(2, 3)), GEN_T ** (-1), ONE]
-    fwd = []
-    for n in range(8):
-        acc = ZERO
-        for l in range(n + 1):
-            acc = acc + lg.transition_coeff(n, l) * seq[l]
-        fwd.append(acc)
-    back = lg.solve_transition(fwd)
-    for n in range(8):
-        assert is_zero(back[n] - seq[n]), n
+    # the full depth N_MAX + 1 in s0, so every l up to N_MAX is inverted, and
+    # depth 3 in s1, the variable rs_zeta_ratio solves in
+    full = [
+        ONE, GEN_T, ZERO, GEN_T**2 - 1, q_pow(1) * GEN_T, SymElem.from_rational(Fraction(2, 3)),
+        GEN_T ** (-1), ONE, q_pow(-1) - GEN_T**3,
+    ]
+    assert len(full) == lg.N_MAX + 1
+    for seq, svar in ((full, "s0"), ([ONE, GEN_T * t_pow("s1", 1), q_pow(-1) - t_pow("s2", 2)], "s1")):
+        fwd = []
+        for n in range(len(seq)):
+            acc = ZERO
+            for l in range(n + 1):
+                acc = acc + lg.transition_coeff(n, l, svar) * seq[l]
+            fwd.append(acc)
+        back = lg.solve_transition(fwd, svar)
+        for n in range(len(seq)):
+            assert is_zero(back[n] - seq[n]), (svar, n)
+    with pytest.raises(ValueError):
+        lg.solve_transition(full + [ONE])
 
 
 def test_roundtrip_basis_vector():
@@ -169,14 +178,19 @@ def test_spherical_zeta_at_s0_zero():
 
 
 def test_zeta_ratio_display_vs_solved():
-    for l in (1, 2):
-        d = lg.zeta_ratio(l, method="display").value
-        s = lg.zeta_ratio(l, method="solve").value
-        assert is_zero(d - s), l
+    # the displayed closed forms for l = 1, 2, with
+    # kappa = q^(-1/2)(1 + q^(-2 s0))(1 - q^-2)^(-1/2) = q^(-1/2)(1 + q^(-2 s0)) q S/(q + 1)
+    c10, c11 = lg.transition_coeff(1, 0), lg.transition_coeff(1, 1)
+    c20, c22 = lg.transition_coeff(2, 0), lg.transition_coeff(2, 2)
+    kappa = q_pow(-1) * (1 + t_pow("s0", 2)) * q_pow(2) * GEN_S / (q_pow(2) + 1)
+    display = {
+        1: GEN_T / c11 - c10 / c11,
+        2: GEN_T**2 / c22 - kappa * GEN_T / c11 + (-c20 / c22 + kappa * c10 / c11),
+    }
+    for l, expect in display.items():
+        assert is_zero(lg.zeta_ratio(l).value - expect), l
     with pytest.raises(ValueError):
         lg.zeta_ratio(7)
-    with pytest.raises(ValueError):
-        lg.zeta_ratio(3, method="display")
 
 
 def test_zeta_ratio_display_formula():
@@ -186,7 +200,7 @@ def test_zeta_ratio_display_formula():
 
 
 def test_translate_identity_and_duals():
-    ratios = [lg.zeta_ratio(l, method="solve" if l > 2 else "auto").value for l in range(7)]
+    ratios = [lg.zeta_ratio(l).value for l in range(7)]
     for n in range(7):
         acc = -GEN_T**n
         for l in range(n + 1):

@@ -155,7 +155,7 @@ def test_window_log_mass():
     b = math.exp(10.0)
     w = ml.window(1.0, b)
     ts = np.exp(np.linspace(math.log(0.25), math.log(2.5 * b), 20001))
-    mass = np.trapezoid(ml.window_eval(w, ts) / ts, ts)
+    mass = np.trapezoid(w.eval(ts) / ts, ts)
     assert abs(mass - 10.0) <= 1.5
 
 
