@@ -327,7 +327,7 @@ def scan_csv(records) -> str:
 
 def cmd_scan(config: RunConfig) -> tuple:
     records = lfunc.scan(config.qmin, config.qmax, config.stride,
-                         target_abs_error=max(config.target, 1e-9) * 10,
+                         target_abs_error=config.target,
                          timing=config.timing)
     fit = lfunc.exponent_fit(records)
     theta = Fraction(config.theta)
@@ -425,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stride", type=int, default=SCAN_STRIDE)
     ps.add_argument("--theta", type=str, default="7/64")
     ps.add_argument("--timing", action="store_true")
-    ps.add_argument("--target", type=float, default=1e-9)
+    ps.add_argument("--target", type=float, default=1e-8)
 
     pm = sub.add_parser("mellin", help="cutoff Mellin transform values")
     common(pm)

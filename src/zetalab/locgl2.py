@@ -614,6 +614,12 @@ class BoundCheckReport:
 
 
 _DEFAULT_QS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# bound_check's depth and derivative orders, its Re s on the vertical line and
+# the imaginary parts sampled by c_decay and vertical_line
+_N_MAX = 6
+_K_MAX = 2
+_EPS = 0.1
+_IM_SAMPLES = (0.1, 0.3, 0.7, 1.1)
 
 
 def _dk(elem: SymElem, var: str, k: int) -> SymElem:
@@ -626,10 +632,6 @@ def bound_check(
     kind: str,
     constant: float = 10.0,
     qs: Sequence[int] = _DEFAULT_QS,
-    n_max: int = 6,
-    k_max: int = 2,
-    eps: float = 0.1,
-    im_samples: Sequence[float] = (0.1, 0.3, 0.7, 1.1),
 ) -> BoundCheckReport:
     """Numeric decay-shape checks for the four bound families.
 
@@ -646,7 +648,7 @@ def bound_check(
     whose shapes carry their frequency factor already.
 
       c_decay:          |d^k c(n,0;s0)| vs n^k q^(-n/2) log^k q on s0 in iR
-                        for n <= n_max, and vs log^k q at the point
+                        for n <= _N_MAX = 6, and vs log^k q at the point
                         s0 = 1/2 for n <= 2 (the point evaluation has
                         c(n,0;1/2) = 1 with derivatives growing like
                         (n log q)^k, so the log-only shape is the one used
@@ -661,8 +663,8 @@ def bound_check(
                         1/2 + s = 1/2), where ztilde_l vanishes and the
                         derivatives inherit the stated q^(-l) decay; at
                         s = 1/2 the decay would only be q^(-l/2).
-      vertical_line:    |d^n_{s0} zeta_l(s,s0)| at s0 = 1/2, Re s = eps vs
-                        q^(|l|(eps-1/2)) log^n q for |l| <= 1.
+      vertical_line:    |d^n_{s0} zeta_l(s,s0)| at s0 = 1/2, Re s = _EPS = 0.1
+                        vs q^(|l|(_EPS-1/2)) log^n q for |l| <= 1.
     """
     cases = []
     scaled = []  # ratio / frequency factor, which decides passed
@@ -675,11 +677,11 @@ def bound_check(
     if kind == "c_decay":
         for q in qs:
             logq = math.log(q)
-            for n in range(1, n_max + 1):
+            for n in range(1, _N_MAX + 1):
                 base = transition_coeff(n, 0)
-                for k in range(k_max + 1):
+                for k in range(_K_MAX + 1):
                     der = _dk(base, "s0", k)
-                    for t in im_samples:
+                    for t in _IM_SAMPLES:
                         lhs = abs(der.substitute(EvalPoint(q=q, s0=1j * t)))
                         rhs = constant * (n**k) * q ** (-n / 2) * logq**k
                         push({"q": q, "n": n, "k": k, "s0": f"{t}i"}, lhs, rhs)
@@ -691,21 +693,21 @@ def bound_check(
         for l in (1, 2):
             base = rs_zeta_ratio(l).value
             ders = [base]
-            for _ in range(n_max):
+            for _ in range(_N_MAX):
                 ders.append(ders[-1].d_ds("s"))
             for q in qs:
                 logq = math.log(q)
                 pt = EvalPoint(q=q)  # s = s1 = s2 = 0
-                for n in range(n_max + 1):
+                for n in range(_N_MAX + 1):
                     lhs = abs(ders[n].substitute(pt))
                     rhs = constant * q ** (-l) * max(logq, math.log(2)) ** n
                     push({"q": q, "l": l, "n": n}, lhs, rhs, l**n)
     elif kind == "herm_decay":
         for l in (1, 2):
             base = herm_zeta_ratio(l).value
-            for k1 in range(k_max + 1):
+            for k1 in range(_K_MAX + 1):
                 d1 = _dk(base, "s1", k1)
-                for k2 in range(k_max + 1):
+                for k2 in range(_K_MAX + 1):
                     der = _dk(d1, "s2", k2)
                     for q in qs:
                         logq = math.log(q)
@@ -716,14 +718,14 @@ def bound_check(
     elif kind == "vertical_line":
         for l in (-1, 0, 1):
             base = zeta_ratio(abs(l), dual=(l < 0)).value
-            for n in range(k_max + 1):
+            for n in range(_K_MAX + 1):
                 der = _dk(base, "s0", n)
                 for q in qs:
                     logq = math.log(q)
-                    for t in im_samples:
-                        pt = EvalPoint(q=q, s=eps + 1j * t, s0=0.5)
+                    for t in _IM_SAMPLES:
+                        pt = EvalPoint(q=q, s=_EPS + 1j * t, s0=0.5)
                         lhs = abs(der.substitute(pt))
-                        rhs = constant * q ** (abs(l) * (eps - 0.5)) * logq**n
+                        rhs = constant * q ** (abs(l) * (_EPS - 0.5)) * logq**n
                         push({"q": q, "l": l, "n": n, "im_s": t}, lhs, rhs)
     else:
         raise ValueError(f"unknown bound check kind {kind!r}")

@@ -10,7 +10,9 @@ forms they validate:
   diagonal points come from the Jacquet integral cut along the shells
   |x| = q^k, where the additive character of conductor zero averages to the
   standard Ramanujan-type factors; local zeta values are then geometric-type
-  sums over the valuation with closed-form tails;
+  sums over the valuation with closed-form tails.  One engine computes every
+  such sum, whether of one Whittaker factor or of a Rankin-Selberg or
+  hermitian product of two;
 * direct solution (exact or numeric) of the linear system defining the
   transition coefficients, starting only from the classical-vector cell
   data.
@@ -29,6 +31,7 @@ normalisation constant needs to be guessed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +45,6 @@ __all__ = [
     "OracleError",
     "DivergenceError",
     "CosetReport",
-    "ShellSum",
     "coset_count",
     "whittaker_value",
     "zeta_by_summation",
@@ -197,18 +199,31 @@ def _whittaker_mix(q: int, l: int, s0: complex):
     return c_coef, u, d_coef, v
 
 
-@dataclass(frozen=True)
-class ShellSum:
-    q: int
-    descriptor: str
-    k_min: int
-    k_max: int
-    partial: complex
-    tail: complex
+def _factor(q: int, l: int, s0: complex, shift: int = 0, conj: bool = False,
+            psi_trivial: bool = False):
+    """One factor W_l(s0; m + shift) of a shell sum, complex-conjugated if conj.
 
-    @property
-    def value(self) -> complex:
-        return self.partial + self.tail
+    Returns (value, first, mixed, tail): value(m) is the factor at m, which
+    vanishes for m < first; from m >= mixed on it equals sum c r^m over the
+    tail terms ((c, r), ...), and tail is None when q^(-2 s0) = 1 makes that
+    split degenerate.
+    """
+    if psi_trivial:
+        # m-dependence is a single geometric factor q^(-m(1/2-s0))
+        w0 = whittaker_value(q, l, s0, 0, True)
+        return (lambda m: whittaker_value(q, l, s0, m, True)), 0, 0, ((w0, q ** (-(0.5 - s0))),)
+
+    def value(m: int) -> complex:
+        w = whittaker_value(q, l, s0, m + shift)
+        return w.conjugate() if conj else w
+
+    mix = _whittaker_mix(q, l, s0)
+    tail = None
+    if mix is not None:
+        a, u, b, v = (x.conjugate() for x in mix) if conj else mix
+        # W(m+shift) = (A u^shift) u^m + (B v^shift) v^m once m+shift >= l
+        tail = ((a * u**shift, u), (b * v**shift, v))
+    return value, -shift, l - shift, tail
 
 
 def _geom_tail(coef: complex, ratio: complex, m_next: int) -> complex:
@@ -220,34 +235,46 @@ def _geom_tail(coef: complex, ratio: complex, m_next: int) -> complex:
     return coef * ratio**m_next / (1 - ratio)
 
 
-def _sum_single(q: int, l: int, s0: complex, weight: complex, k_max: int,
-                descriptor: str, psi_trivial: bool = False) -> ShellSum:
-    """sum_{m >= 0} W_l(m) weight^m with closed-form tail past k_max."""
-    if abs(weight) >= 1:
-        raise DivergenceError("weight ratio >= 1")
+def _shell_sum(factors, weight: complex, k_max: int) -> complex:
+    """sum_m prod_i f_i(m) * weight^m over the factors made by _factor.
+
+    Every factor vanishes below its first m, so the sum starts at the largest
+    of them.  The first k_max + 1 shells are summed directly; past them each
+    factor is a sum of geometric terms, so the tail is one closed geometric
+    series per product of tail terms.  If any factor is degenerate the direct
+    sum continues until its terms are negligible instead.
+    """
+    values, firsts, mixed, tails = zip(*factors)
+
+    def term(m: int) -> complex:
+        prod = values[0](m)
+        for value in values[1:]:
+            prod = prod * value(m)
+        return prod * weight**m
+
+    m_min = max(firsts)
+    m_stop = m_min + k_max
     partial = 0j
-    for m in range(k_max + 1):
-        partial += whittaker_value(q, l, s0, m, psi_trivial) * weight**m
-    if psi_trivial:
-        # m-dependence is a single geometric factor q^(-m(1/2-s0)) weight^m
-        w0 = whittaker_value(q, l, s0, 0, True)
-        tail = _geom_tail(w0, q ** (-(0.5 - s0)) * weight, k_max + 1)
-        return ShellSum(q, descriptor, 0, k_max, partial, tail)
-    mix = _whittaker_mix(q, l, s0)
-    if mix is None:
+    for m in range(m_min, m_stop + 1):
+        partial += term(m)
+    tail = 0j
+    m = m_stop + 1
+    if None in tails:
         # removable-degeneracy fallback: extend the direct sum
-        m = k_max + 1
-        tail = 0j
         while True:
-            term = whittaker_value(q, l, s0, m) * weight**m
-            tail += term
+            t = term(m)
+            tail += t
             m += 1
-            if abs(term) < 1e-17 * max(1.0, abs(partial + tail)) or m > k_max + 4000:
+            if abs(t) < 1e-17 * max(1.0, abs(partial + tail)) or m > m_stop + 4000:
                 break
-        return ShellSum(q, descriptor, 0, k_max, partial, tail)
-    a_coef, u, b_coef, v = mix
-    tail = _geom_tail(a_coef, u * weight, k_max + 1) + _geom_tail(b_coef, v * weight, k_max + 1)
-    return ShellSum(q, descriptor, 0, k_max, partial, tail)
+        return partial + tail
+    assert m >= max(mixed)
+    for terms in itertools.product(*tails):
+        c, r = terms[0]
+        for ci, ri in terms[1:]:
+            c, r = c * ci, r * ri
+        tail += _geom_tail(c, r * weight, m)
+    return partial + tail
 
 
 def zeta_by_summation(l: int, at: EvalPoint, k_max: int = 60,
@@ -264,7 +291,9 @@ def zeta_by_summation(l: int, at: EvalPoint, k_max: int = 60,
     if at.s.real + 0.5 - abs(at.s0.real) <= 0.02:
         raise DivergenceError("need Re s > |Re s0| - 1/2 with margin")
     weight = q ** (-complex(at.s))
-    return _sum_single(q, l, at.s0, weight, k_max, f"zeta l={l}", psi_trivial).value
+    if abs(weight) >= 1:
+        raise DivergenceError("weight ratio >= 1")
+    return _shell_sum([_factor(q, l, at.s0, psi_trivial=psi_trivial)], weight, k_max)
 
 
 def zeta_ratio_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
@@ -277,54 +306,6 @@ def zeta_ratio_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
 # ---------------------------------------------------------------------------
 # product sums (Rankin-Selberg and hermitian pairings)
 # ---------------------------------------------------------------------------
-
-
-def _sum_product(q: int, l1: int, s01: complex, shift1: int,
-                 l2: int, s02: complex, shift2: int,
-                 weight: complex, k_max: int, conj2: bool = False,
-                 descriptor: str = "product") -> ShellSum:
-    """sum_m W_{l1}(s01; m+shift1) * W_{l2}(s02; m+shift2)(^-) * weight^m.
-
-    The second factor is complex-conjugated when conj2 is set (true numeric
-    conjugation; nothing symbolic).  Both factors vanish below valuation 0,
-    so the sum starts at m = max(-shift1, -shift2); past the saturation
-    depth each factor is a two-term geometric mix, so the tail is a sum of
-    four closed geometric series.
-    """
-    m_min = max(-shift1, -shift2)
-
-    def f2(mv: int) -> complex:
-        w = whittaker_value(q, l2, s02, mv + shift2)
-        return w.conjugate() if conj2 else w
-
-    partial = 0j
-    m_stop = m_min + k_max
-    for m in range(m_min, m_stop + 1):
-        partial += whittaker_value(q, l1, s01, m + shift1) * f2(m) * weight**m
-    mix1 = _whittaker_mix(q, l1, s01)
-    mix2 = _whittaker_mix(q, l2, s02)
-    if mix1 is None or mix2 is None:
-        tail = 0j
-        m = m_stop + 1
-        while True:
-            term = whittaker_value(q, l1, s01, m + shift1) * f2(m) * weight**m
-            tail += term
-            m += 1
-            if abs(term) < 1e-17 * max(1.0, abs(partial + tail)) or m > m_stop + 4000:
-                break
-        return ShellSum(q, descriptor, m_min, m_stop, partial, tail)
-    a1, u1, b1, v1 = mix1
-    a2, u2, b2, v2 = mix2
-    if conj2:
-        a2, u2, b2, v2 = a2.conjugate(), u2.conjugate(), b2.conjugate(), v2.conjugate()
-    # W(m+shift) = (A u^shift) u^m + (B v^shift) v^m once m+shift >= l
-    tail = 0j
-    m_next = m_stop + 1
-    assert m_next + shift1 >= l1 and m_next + shift2 >= l2
-    for c1, r1 in ((a1 * u1**shift1, u1), (b1 * v1**shift1, v1)):
-        for c2, r2 in ((a2 * u2**shift2, u2), (b2 * v2**shift2, v2)):
-            tail += _geom_tail(c1 * c2, r1 * r2 * weight, m_next)
-    return ShellSum(q, descriptor, m_min, m_stop, partial, tail)
 
 
 def _rs_guard(at: EvalPoint):
@@ -345,12 +326,13 @@ def rs_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
         raise OracleError("Rankin-Selberg sums provided for l in {0, 1, 2}")
     _rs_guard(at)
     q = at.q
+    sph1, sph2 = _factor(q, 0, at.s1), _factor(q, 0, at.s2)
     if l == 0:
         w = q ** (-(complex(at.s) - 0.5))
-        return _sum_product(q, 0, at.s1, 0, 0, at.s2, 0, w, k_max, descriptor="rs l=0").value
+        return _shell_sum([sph1, sph2], w, k_max)
     w = q ** (-complex(at.s))
-    num = _sum_product(q, l, at.s1, 0, 0, at.s2, 0, w, k_max, descriptor=f"rs l={l}").value
-    den = _sum_product(q, 0, at.s1, 0, 0, at.s2, 0, w, k_max, descriptor="rs den").value
+    num = _shell_sum([_factor(q, l, at.s1), sph2], w, k_max)
+    den = _shell_sum([sph1, sph2], w, k_max)
     dims = {1: float(q), 2: float(q * q - 1)}
     return num / den / math.sqrt(dims[l])
 
@@ -362,8 +344,9 @@ def rs_a_by_summation(n: int, at: EvalPoint, k_max: int = 60) -> complex:
     _rs_guard(at)
     q = at.q
     w = q ** (-complex(at.s))
-    num = _sum_product(q, 0, at.s1, -n, 0, at.s2, 0, w, k_max, descriptor=f"rs a_{n}").value
-    den = _sum_product(q, 0, at.s1, 0, 0, at.s2, 0, w, k_max, descriptor="rs den").value
+    sph2 = _factor(q, 0, at.s2)
+    num = _shell_sum([_factor(q, 0, at.s1, -n), sph2], w, k_max)
+    den = _shell_sum([_factor(q, 0, at.s1), sph2], w, k_max)
     return num / den
 
 
@@ -386,10 +369,8 @@ def herm_a_by_summation(n: int, at: EvalPoint, k_max: int = 60) -> complex:
     s2c = complex(at.s2).conjugate()
 
     def cell(shift: int) -> complex:
-        return _sum_product(
-            q, 0, at.s1, shift, 0, s2c, shift, w, k_max, conj2=True,
-            descriptor=f"herm cell shift={shift}",
-        ).value
+        return _shell_sum([_factor(q, 0, at.s1, shift), _factor(q, 0, s2c, shift, conj=True)],
+                          w, k_max)
 
     index = q ** (n - 1) * (q + 1)
     total = 0j

@@ -18,6 +18,9 @@ fractions (T^-3 == 1/T^3).  Denominators are normalised monic in the
 fixed lexicographic order Q > T0 > T > T1 > T2 > L, so structural
 equality of the stored data coincides with mathematical equality.
 Values are immutable; every operation returns a new element.
+
+The archimedean factors involve no q; RatFunc holds them as elements of
+sympy's rational-function field Q(s), which keeps them reduced.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from sympy.polys.domains import QQ
+from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
 __all__ = [
@@ -126,13 +130,10 @@ class SymElem:
 
     __slots__ = ("an", "ad", "bn", "bd")
 
-    def __init__(self, a=_FZERO, b=_FZERO, _raw: bool = False):
-        if _raw:
-            self.an, self.ad = a
-            self.bn, self.bd = b
-        else:
-            self.an, self.ad = _reduce(a[0], a[1])
-            self.bn, self.bd = _reduce(b[0], b[1])
+    def __init__(self, a, b):
+        """Store the reduced fractions a = (num, den) and b as A and B."""
+        self.an, self.ad = a
+        self.bn, self.bd = b
 
     # -- constructors ------------------------------------------------------
 
@@ -140,16 +141,16 @@ class SymElem:
     def from_rational(cls, value: Union[int, Fraction]) -> "SymElem":
         f = Fraction(value)
         num = _RING.one.mul_ground(QQ(f.numerator, f.denominator))
-        return cls((num, _RING.one), _FZERO, _raw=True)
+        return cls((num, _RING.one), _FZERO)
 
     @classmethod
     def generator(cls, name: str) -> "SymElem":
         if name == "S":
-            return cls(_FZERO, _FONE, _raw=True)
+            return cls(_FZERO, _FONE)
         if name not in _GEN_NAMES:
             raise SymRingError(f"unknown generator {name!r}")
         idx = _GEN_NAMES.index(name)
-        return cls((_PGENS[idx], _RING.one), _FZERO, _raw=True)
+        return cls((_PGENS[idx], _RING.one), _FZERO)
 
     @classmethod
     def monomial(cls, name: str, exponent: int) -> "SymElem":
@@ -159,7 +160,7 @@ class SymElem:
         idx = _GEN_NAMES.index(name)
         if idx == _L_INDEX and exponent < 0:
             raise SymRingError("L = log q must have nonnegative exponent")
-        return cls(_monom_frac(idx, exponent), _FZERO, _raw=True)
+        return cls(_monom_frac(idx, exponent), _FZERO)
 
     # -- structure ---------------------------------------------------------
 
@@ -198,7 +199,6 @@ class SymElem:
         return SymElem(
             _f_add((self.an, self.ad), (o.an, o.ad)),
             _f_add((self.bn, self.bd), (o.bn, o.bd)),
-            _raw=True,
         )
 
     __radd__ = __add__
@@ -208,14 +208,13 @@ class SymElem:
         return SymElem(
             _f_sub((self.an, self.ad), (o.an, o.ad)),
             _f_sub((self.bn, self.bd), (o.bn, o.bd)),
-            _raw=True,
         )
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return SymElem((-self.an, self.ad), (-self.bn, self.bd), _raw=True)
+        return SymElem((-self.an, self.ad), (-self.bn, self.bd))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -224,7 +223,7 @@ class SymElem:
         # (A1 + B1 S)(A2 + B2 S) = A1 A2 + B1 B2 S^2 + (A1 B2 + B1 A2) S
         a = _f_add(_f_mul(a1, a2), _f_mul(_f_mul(b1, b2), _FS2))
         b = _f_add(_f_mul(a1, b2), _f_mul(b1, a2))
-        return SymElem(a, b, _raw=True)
+        return SymElem(a, b)
 
     __rmul__ = __mul__
 
@@ -235,7 +234,7 @@ class SymElem:
         # 1/(A + B S) = (A - B S)/(A^2 - B^2 S^2); the norm is nonzero because
         # (Q^2+1)/(Q^2-1) is not a square in the base field.
         norm = _f_sub(_f_mul(a, a), _f_mul(_f_mul(b, b), _FS2))
-        return SymElem(_f_div(a, norm), _f_div((-b[0], b[1]), norm), _raw=True)
+        return SymElem(_f_div(a, norm), _f_div((-b[0], b[1]), norm))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -274,7 +273,7 @@ class SymElem:
             return _reduce(dpoly(n) * d - n * dpoly(d), d * d)
 
         # S depends only on Q, hence is constant for every s-variable.
-        return SymElem(dfrac((self.an, self.ad)), dfrac((self.bn, self.bd)), _raw=True)
+        return SymElem(dfrac((self.an, self.ad)), dfrac((self.bn, self.bd)))
 
     def invert_var(self, var: str) -> "SymElem":
         """Substitute T_i -> 1/T_i (that is, s_i -> -s_i) for an s-variable."""
@@ -302,7 +301,7 @@ class SymElem:
                 return _reduce(fn * gen ** (dd - dn), fd)
             return _reduce(fn, fd * gen ** (dn - dd))
 
-        return SymElem(ffrac((self.an, self.ad)), ffrac((self.bn, self.bd)), _raw=True)
+        return SymElem(ffrac((self.an, self.ad)), ffrac((self.bn, self.bd)))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -462,142 +461,67 @@ def substitute(elem: SymElem, at: EvalPoint) -> complex:
 # products of linear factors with integer coefficients.
 # ---------------------------------------------------------------------------
 
-
-def _ustrip(c: list) -> tuple:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _uadd(a, b):
-    n = max(len(a), len(b))
-    return _ustrip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _umul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ustrip(out)
-
-
-def _udivmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[k] = c
-        for i, y in enumerate(b):
-            a[i + k] -= c * y
-        a.pop()
-    return _ustrip(q), _ustrip(a)
-
-
-def _ugcd(a, b):
-    while b:
-        a, b = b, _udivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
+_SFIELD, _S = field("s", QQ)
 
 
 class RatFunc:
     """Exact univariate rational function over the rationals, in a variable s."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("f",)
 
-    def __init__(self, num: Iterable = (0,), den: Iterable = (1,)):
-        n = _ustrip([Fraction(x) for x in num])
-        d = _ustrip([Fraction(x) for x in den])
-        if not d:
-            raise SymRingError("zero denominator")
-        if n:
-            g = _ugcd(n, d)
-            if len(g) > 1:
-                n = _udivmod(n, g)[0]
-                d = _udivmod(d, g)[0]
-        lead = d[-1]
-        self.num = tuple(x / lead for x in n)
-        self.den = tuple(x / lead for x in d)
+    def __init__(self, f):
+        """Wrap an element f of sympy's field Q(s), which keeps it reduced."""
+        self.f = f
 
     @classmethod
     def const(cls, c) -> "RatFunc":
-        return cls([Fraction(c)], [1])
+        c = Fraction(c)
+        return cls(_SFIELD.ground_new(QQ(c.numerator, c.denominator)))
 
     @classmethod
     def linear(cls, a0, a1) -> "RatFunc":
         """a0 + a1*s."""
-        return cls([Fraction(a0), Fraction(a1)], [1])
+        return cls(cls.const(a0).f + cls.const(a1).f * _S)
+
+    @staticmethod
+    def _coerce(x) -> "RatFunc":
+        return x if isinstance(x, RatFunc) else RatFunc.const(x)
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.f
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.f == other.f
 
     __hash__ = None
 
     def __add__(self, other):
-        o = other if isinstance(other, RatFunc) else RatFunc.const(other)
-        return RatFunc(_uadd(_umul(self.num, o.den), _umul(o.num, self.den)), _umul(self.den, o.den))
+        return RatFunc(self.f + self._coerce(other).f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc([-x for x in self.num] or (0,), self.den)
+        return RatFunc(-self.f)
 
     def __sub__(self, other):
-        o = other if isinstance(other, RatFunc) else RatFunc.const(other)
-        return self + (-o)
+        return RatFunc(self.f - self._coerce(other).f)
 
     def __mul__(self, other):
-        o = other if isinstance(other, RatFunc) else RatFunc.const(other)
-        return RatFunc(_umul(self.num, o.num) or (0,), _umul(self.den, o.den))
+        return RatFunc(self.f * self._coerce(other).f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if isinstance(other, RatFunc) else RatFunc.const(other)
+        o = self._coerce(other)
         if o.is_zero:
             raise SymRingError("division by zero")
-        return RatFunc(_umul(self.num, o.den) or (0,), _umul(self.den, o.num))
+        return RatFunc(self.f / o.f)
 
     def __call__(self, s: complex) -> complex:
-        nv = 0j
-        for c in reversed(self.num or (Fraction(0),)):
-            nv = nv * s + complex(c)
-        dv = 0j
-        for c in reversed(self.den):
-            dv = dv * s + complex(c)
-        if abs(dv) <= POLE_TOL * max(1.0, sum(abs(complex(c) * s ** i) for i, c in enumerate(self.den))):
-            raise PoleAtPointError("denominator vanishes at the evaluation point")
-        return nv / dv
-
-    def __str__(self) -> str:
-        def side(cs):
-            if not cs:
-                return "0"
-            parts = []
-            for i, c in enumerate(cs):
-                if c == 0:
-                    continue
-                mono = "1" if i == 0 else ("s" if i == 1 else f"s^{i}")
-                parts.append(f"{c}*{mono}" if i else str(c))
-            return " + ".join(parts)
-
-        return f"({side(self.num)})/({side(self.den)})"
+        return _eval_frac((self.f.numer, self.f.denom), (complex(s),))
 
     def __repr__(self) -> str:
-        return f"RatFunc[{self}]"
+        return f"RatFunc[{self.f}]"

@@ -204,7 +204,7 @@ def test_criterion_4_derivatives_match_cauchy_integrals():
 
 
 def test_criterion_4_part4_vertical_line():
-    rep = locgl2.bound_check("vertical_line", constant=10.0, eps=0.1)
+    rep = locgl2.bound_check("vertical_line", constant=10.0)
     assert report("criterion 4.4", rep.passed, _bound_detail(rep))
 
 

@@ -137,6 +137,19 @@ def test_scan_csv_and_summary(tmp_path):
     assert out2.read_text() == text
 
 
+def test_scan_target_is_passed_through(monkeypatch):
+    seen = []
+
+    def fake_scan(q_min, q_max, stride, target_abs_error, timing):
+        seen.append(target_abs_error)
+        return []
+
+    monkeypatch.setattr(cli.lfunc, "scan", fake_scan)
+    for argv, target in ((["scan"], 1e-8), (["scan", "--target", "1e-12"], 1e-12)):
+        cli.cmd_scan(cli.RunConfig(**vars(cli._build_parser().parse_args(argv))))
+        assert seen.pop() == target
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(nmax=99)

@@ -180,3 +180,14 @@ def test_ratfunc():
     assert (RatFunc.const(Fraction(3, 4)) + RatFunc.const(Fraction(1, 4)))(2.0) == 1.0
     with pytest.raises(SymRingError):
         r / RatFunc.const(0)
+    # stored reduced, so equal values compare equal
+    lin = RatFunc.linear(1, 1) * RatFunc.linear(-1, 1) / RatFunc.linear(-1, 1)
+    assert lin == RatFunc.linear(1, 1)
+    assert lin != RatFunc.linear(1, 2)
+    # ints coerce on either side
+    assert 1 + r == r + 1
+    assert 2 * r == r * 2 == r + r
+    assert abs((r - 1)(0.25j) - (r(0.25j) - 1)) < 1e-14
+    assert (r / 2) * 2 == r
+    with pytest.raises(PoleAtPointError):
+        (RatFunc.linear(1, -2) / RatFunc.linear(1, 2))(-0.5)
