@@ -38,6 +38,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260810
 # frozen scan window for the subconvexity trend; see the acceptance suite
 SCAN_QMIN, SCAN_QMAX, SCAN_STRIDE = 100, 3000, 1
+LVALUE_TARGET, SCAN_TARGET = 1e-9, 1e-8  # absolute error targets when none is given
 
 
 @dataclass
@@ -55,7 +56,7 @@ class RunConfig:
     out: Optional[str] = None
     timing: bool = False
     balance: float = 1.0
-    target: float = 1e-9
+    target: Optional[float] = None  # None: LVALUE_TARGET or SCAN_TARGET, by command
     q: int = 4
     label: str = "1"
     s: str = "1,0"
@@ -300,7 +301,8 @@ def cmd_lvalue(config: RunConfig) -> dict:
     chi = lfunc.character_by_label(config.q, config.label)
     if not chi.is_primitive:
         raise lfunc.LfuncError(f"character {config.label} mod {config.q} is imprimitive")
-    value = lfunc.l_central(chi, config.target, config.balance)
+    target = LVALUE_TARGET if config.target is None else config.target
+    value = lfunc.l_central(chi, target, config.balance)
     out = {
         "schema": SCHEMA_VERSION,
         "command": "lvalue",
@@ -326,9 +328,9 @@ def scan_csv(records) -> str:
 
 
 def cmd_scan(config: RunConfig) -> tuple:
+    target_abs_error = SCAN_TARGET if config.target is None else config.target
     records = lfunc.scan(config.qmin, config.qmax, config.stride,
-                         target_abs_error=config.target,
-                         timing=config.timing)
+                         target_abs_error=target_abs_error, timing=config.timing)
     fit = lfunc.exponent_fit(records)
     theta = Fraction(config.theta)
     target = lfunc.burgess_target(theta)
@@ -415,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--q", type=int, required=True)
     pl.add_argument("--label", type=str, required=True)
-    pl.add_argument("--target", type=float, default=1e-9)
+    pl.add_argument("--target", type=float, default=LVALUE_TARGET)
     pl.add_argument("--balance", type=float, default=1.0)
 
     ps = sub.add_parser("scan", help="conductor-exponent scan")
@@ -425,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stride", type=int, default=SCAN_STRIDE)
     ps.add_argument("--theta", type=str, default="7/64")
     ps.add_argument("--timing", action="store_true")
-    ps.add_argument("--target", type=float, default=1e-8)
+    ps.add_argument("--target", type=float, default=SCAN_TARGET)
 
     pm = sub.add_parser("mellin", help="cutoff Mellin transform values")
     common(pm)

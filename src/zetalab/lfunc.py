@@ -2,11 +2,13 @@
 
 The character group mod q is one cached CharacterGroup: the unit group split
 into cyclic components with explicit generators, and the discrete logs of
-every unit on them.  A character is nothing but (q, index k) on the dual
-grid: parity (CharacterGroup.parity, one rule for one index or an array),
-conductor, primitivity and label are read off k, and its value table (exact
-integer phases) is built only when read.  CharacterGroup.sums gives
-sum_r chi(r) f(r) for every chi at once by one FFT over the discrete-log grid.
+every unit on them (each component's table is scattered from one array of
+generator powers, built as giant steps times baby steps).  A character is
+nothing but (q, index k) on the dual grid: parity (CharacterGroup.parity,
+one rule for one index or an array), conductor, primitivity and label are
+read off k, and its value table (exact integer phases) is built only when
+read.  CharacterGroup.sums gives sum_r chi(r) f(r) for every chi at once by
+one FFT over the discrete-log grid.
 
 Central values are computed two independent ways:
 
@@ -54,7 +56,9 @@ Central values are computed two independent ways:
 * l_oracle_hurwitz: L(s, chi) = q^(-s) sum_a chi(a) zeta_H(s, a/q) with the
   Hurwitz zeta evaluated by Euler-Maclaurin (50 direct terms, Bernoulli
   corrections through B12), absolute error ~1e-10 for Re s >= 0.4,
-  |Im s| <= 10.
+  |Im s| <= 10.  At real s (the central point included) every power is
+  taken in float64 and the row of zeta_H(s, a/q) is real; the truncation
+  and the error claim are the same as at complex s.
 
 The scan walks a range of moduli, records max over primitive chi of
 |L(1/2, chi)|, and fits the growth exponent in log-log coordinates; the
@@ -203,6 +207,18 @@ class CharacterGroup:
         return int(out) if out.ndim == 0 else out
 
 
+def _power_table(g: int, n: int, m: int) -> np.ndarray:
+    """g^i mod m for i in range(n), as giant steps g^(b j) times baby steps g^r.
+
+    The outer product of the two short lists needs only O(sqrt n) Python
+    steps; its entries stay below m^2 <= 10^10, inside int64.
+    """
+    b = math.isqrt(n - 1) + 1
+    baby = np.array([pow(g, r, m) for r in range(b)], dtype=np.int64)
+    giant = np.array([pow(g, b * j, m) for j in range(-(-n // b))], dtype=np.int64)
+    return (giant[:, None] * baby[None, :] % m).ravel()[:n]
+
+
 @lru_cache(maxsize=512)
 def character_group(q: int) -> CharacterGroup:
     """Cyclic decomposition of (Z/q)^* with discrete-log coordinates, cached.
@@ -229,13 +245,11 @@ def character_group(q: int) -> CharacterGroup:
                 tables.append(tab)
             else:
                 half = 2 ** (e - 2)
+                fives = _power_table(5, half, pe)
                 sign_tab = -np.ones(pe, dtype=np.int64)
                 five_tab = -np.ones(pe, dtype=np.int64)
-                x = 1
-                for b in range(half):
-                    sign_tab[x], five_tab[x] = 0, b
-                    sign_tab[pe - x], five_tab[pe - x] = 1, b
-                    x = (x * 5) % pe
+                sign_tab[fives], sign_tab[pe - fives] = 0, 1
+                five_tab[fives] = five_tab[pe - fives] = np.arange(half)
                 comps.append(_Component(2, pe, 2, "two_sign"))
                 tables.append(sign_tab)
                 comps.append(_Component(2, pe, half, "two_five"))
@@ -244,10 +258,7 @@ def character_group(q: int) -> CharacterGroup:
             g = _primitive_root(p, e)
             order = pe - pe // p
             tab = -np.ones(pe, dtype=np.int64)
-            x = 1
-            for i in range(order):
-                tab[x] = i
-                x = (x * g) % pe
+            tab[_power_table(g, order, pe)] = np.arange(order)
             comps.append(_Component(p, pe, order, "odd"))
             tables.append(tab)
     residues = np.arange(q, dtype=np.int64)
@@ -460,12 +471,18 @@ _EM_TERMS = 50
 
 
 def _hurwitz_vec(s: complex, xs: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin Hurwitz zeta for an array of offsets in (0, 1]."""
+    """Euler-Maclaurin Hurwitz zeta for an array of offsets in (0, 1].
+
+    Float64 at real s (for real offsets) and complex otherwise.  The error
+    is ~1e-10 absolute, relative where |zeta_H| exceeds 1 (near x^(-s) for
+    a small offset x).
+    """
     s = complex(s)
     if abs(s - 1) < 1e-12:
         raise LfuncError("Hurwitz zeta has a pole at s = 1")
     if s.real < 0.4 or abs(s.imag) > 10:
         raise LfuncError("oracle validated for Re s >= 0.4, |Im s| <= 10 only")
+    s = s.real if s.imag == 0 else s  # real s: every power in float64
     ks = np.arange(_EM_TERMS)[:, None]
     direct = np.sum((ks + xs[None, :]) ** (-s), axis=0)
     m = _EM_TERMS + xs
@@ -481,7 +498,7 @@ def _hurwitz_vec(s: complex, xs: np.ndarray) -> np.ndarray:
 
 
 def hurwitz_zeta(s: complex, x: float) -> complex:
-    """zeta_H(s, x) for 0 < x <= 1; absolute error ~1e-10 in the guard domain."""
+    """zeta_H(s, x) for 0 < x <= 1; error ~1e-10 (as _hurwitz_vec) in the guard domain."""
     if not 0 < x <= 1:
         raise LfuncError("offset must lie in (0, 1]")
     return complex(_hurwitz_vec(s, np.array([float(x)]))[0])

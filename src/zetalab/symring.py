@@ -17,7 +17,10 @@ value A + B*S.  Laurent monomials with negative exponents are ordinary
 fractions (T^-3 == 1/T^3).  Denominators are normalised monic in the
 fixed lexicographic order Q > T0 > T > T1 > T2 > L, so structural
 equality of the stored data coincides with mathematical equality.
-Values are immutable; every operation returns a new element.
+Sums and products of reduced fractions are formed reduced by Henrici's
+rules, with gcds of the operands' factors only; division and the calculus
+operations reduce their result with one gcd.  Values are immutable; every
+operation returns a new element.
 
 The archimedean factors involve no q; RatFunc holds them as elements of
 sympy's rational-function field Q(s), which keeps them reduced.
@@ -80,12 +83,8 @@ def _reduce(num, den):
         raise SymRingError("zero denominator")
     if not num:
         return _RING.zero, _RING.one
-    g = num.gcd(den)
-    num, den = num.quo(g), den.quo(g)
-    lc = den.LC
-    if lc != 1:
-        inv = QQ(1) / lc
-        num, den = num.mul_ground(inv), den.mul_ground(inv)
+    g = _gcd(num, den)
+    num, den = _monic(_quo(num, g), _quo(den, g))
     if den.degree(_PL) > 0:
         # log q is transcendental over the Laurent ring; it may only occur
         # polynomially (it is introduced solely by differentiation).
@@ -93,16 +92,51 @@ def _reduce(num, den):
     return num, den
 
 
+def _monic(num, den):
+    """num/den with the denominator scaled to leading coefficient 1."""
+    lc = den.LC
+    if lc == 1:
+        return num, den
+    inv = QQ(1) / lc
+    return num.mul_ground(inv), den.mul_ground(inv)
+
+
+# Sums and products of reduced fractions by Henrici's rules (Knuth, TAOCP
+# vol. 2, 4.5.1): the gcds run on the operands' factors, never on the full
+# product, and the result is reduced without a final gcd.
+
+
+def _gcd(a, b):
+    """a.gcd(b), skipping sympy's call when either side is 1, as most denominators are."""
+    return _RING.one if a == _RING.one or b == _RING.one else a.gcd(b)
+
+
+def _quo(a, g):
+    """a / g for a divisor g of a; sympy's division runs even when g is 1."""
+    return a if g == _RING.one else a.quo(g)
+
+
 def _f_add(a, b):
-    return _reduce(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+    (n1, d1), (n2, d2) = a, b
+    g = _gcd(d1, d2)
+    e1, e2 = _quo(d1, g), _quo(d2, g)
+    t = n1 * e2 + n2 * e1
+    if not t:
+        return _FZERO
+    h = _gcd(t, g)
+    return _monic(_quo(t, h), e1 * e2 * _quo(g, h))
 
 
 def _f_sub(a, b):
-    return _reduce(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
+    return _f_add(a, (-b[0], b[1]))
 
 
 def _f_mul(a, b):
-    return _reduce(a[0] * b[0], a[1] * b[1])
+    (n1, d1), (n2, d2) = a, b
+    if not n1 or not n2:
+        return _FZERO
+    g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
+    return _monic(_quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1))
 
 
 def _f_div(a, b):

@@ -150,6 +150,26 @@ def test_scan_target_is_passed_through(monkeypatch):
         assert seen.pop() == target
 
 
+def test_run_config_default_target_per_command(monkeypatch):
+    # a RunConfig that sets no target runs each command at its subparser's default
+    seen = []
+
+    def fake_scan(q_min, q_max, stride, target_abs_error, timing):
+        seen.append(target_abs_error)
+        return []
+
+    def fake_central(chi, target_abs_error, balance):
+        seen.append(target_abs_error)
+        return 0j
+
+    monkeypatch.setattr(cli.lfunc, "scan", fake_scan)
+    monkeypatch.setattr(cli.lfunc, "l_central", fake_central)
+    cli.cmd_scan(cli.RunConfig())
+    cli.cmd_scan(cli.RunConfig(command="scan", qmin=100, qmax=120))
+    cli.cmd_lvalue(cli.RunConfig(command="lvalue", q=5, label="1"))
+    assert seen == [1e-8, 1e-8, 1e-9]
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(nmax=99)

@@ -102,6 +102,48 @@ def test_group_sums_match_character_values(q):
         assert abs(conj_sums[chi.index] - np.conj(chi.values) @ f) <= tol, (q, chi.label)
 
 
+def _pow_mod(g: int, k: np.ndarray, m: int) -> np.ndarray:
+    """g^k mod m elementwise, by square-and-multiply on the bits of k."""
+    out = np.ones_like(k)
+    base = g % m
+    for bit in range(int(k.max()).bit_length() if k.size else 0):
+        out = np.where((k >> bit) & 1, out * base % m, out)
+        base = base * base % m
+    return out
+
+
+def _check_discrete_logs(q: int) -> None:
+    """Each component's logs reproduce the units; together they biject onto the index grid."""
+    group = lf.character_group(q)
+    units = group.units
+    for i, c in enumerate(group.components):
+        logs, u = group.coords[i], units % c.power
+        assert logs.min(initial=0) >= 0 and logs.max(initial=0) < c.order, (q, c)
+        if c.kind == "odd":
+            g = lf._primitive_root(c.prime, lf.factorize(c.power)[0][1])
+            assert np.array_equal(_pow_mod(g, logs, c.power), u), (q, c)
+        elif c.kind == "four":
+            assert np.array_equal(np.where(logs == 1, 3, 1), u), q
+        elif c.kind == "two_sign":  # u = +-5^b with b the log on the next (two_five) component
+            fives = _pow_mod(5, group.coords[i + 1], c.power)
+            assert np.array_equal(np.where(logs == 1, c.power - fives, fives), u), q
+    cell = np.zeros(len(units), dtype=np.int64)
+    for logs, n in zip(group.coords, group.orders):
+        cell = cell * n + logs
+    # at q = p^e (and at 2^e for the sign and 5-power pair) this is the table itself
+    assert np.array_equal(np.sort(cell), np.arange(len(units))), q
+
+
+def test_discrete_logs_every_modulus_to_3000():
+    for q in range(1, 3001):
+        _check_discrete_logs(q)
+
+
+@pytest.mark.parametrize("q", [8192, 9973, 65536, 99991, 100000, 3**10, 5**7])
+def test_discrete_logs_large_moduli(q):
+    _check_discrete_logs(q)
+
+
 # -- Gauss sums ------------------------------------------------------------------
 
 
@@ -168,6 +210,33 @@ def test_hurwitz_two_cut_points_agree():
         lf._EM_TERMS = old
         lf._hurwitz_row.cache_clear()
     assert abs(v1 - v2) < 1e-10
+
+
+@pytest.mark.parametrize("q", [3, 101, 1009, 9973])
+def test_hurwitz_row_matches_mpmath(q):
+    import mpmath
+    rng = random.Random(q)
+    offsets = sorted({1, 2, q // 2, q - 1, q} | {rng.randrange(1, q + 1) for _ in range(12)})
+    xs = np.array(offsets) / q
+    with mpmath.workdps(30):
+        for s in (0.4, 0.5, 0.75, 2.0, 0.5 + 3j, 0.4 - 10j):
+            row = lf._hurwitz_vec(s, xs)
+            assert row.dtype == (np.complex128 if isinstance(s, complex) else np.float64), s
+            for a, value in zip(offsets, row):
+                exact = complex(mpmath.zeta(s, mpmath.mpf(a) / q))
+                # zeta_H(2, 1/9973) is about 1e8, so float64 rounding alone is 1e-8 there
+                assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact)), (q, s, a)
+
+
+def test_real_oracle_matches_complex_arithmetic():
+    # the row at s = 1/2 is float64; the same formula on complex offsets runs every power complex
+    for q in (101, 1009, 9973):
+        xs = np.arange(1, q + 1) / q
+        row = lf._hurwitz_vec(0.5, xs + 0j)
+        assert row.dtype == np.complex128
+        for chi in lf.enumerate_characters(q)[:: max(1, q // 7)]:
+            ref = q**-0.5 * np.sum(np.roll(chi.values, -1) * row)
+            assert abs(lf.l_oracle_hurwitz(chi, 0.5) - ref) <= 1e-13, (q, chi.label)
 
 
 def test_leibniz_value():
