@@ -464,16 +464,9 @@ def _write_or_print(text: str, out: Optional[str]):
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(**{k: v for k, v in vars(args).items() if v is not None or k == "out"})
-    if args.command == "verify":
-        report = cmd_verify(config)
-        _write_or_print(_dumps(report), config.out)
-        return 0 if report["passed"] else 1
-    if args.command == "oracle":
-        report = cmd_oracle(config)
-        _write_or_print(_dumps(report), config.out)
-        return 0 if report["passed"] else 1
+    # bad input to the configuration, lvalue, scan or mellin is one error line, exit 2
     try:
+        config = RunConfig(**{k: v for k, v in vars(args).items() if v is not None or k == "out"})
         if args.command == "lvalue":
             report = cmd_lvalue(config)
             _write_or_print(_dumps(report), config.out)
@@ -491,17 +484,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sys.stdout.write(csv_text)
                 sys.stdout.write(_dumps(summary))
             return 0
-    except lfunc.LfuncError as exc:
+        if args.command == "mellin":
+            result = cmd_mellin(config)
+            _write_or_print(result if isinstance(result, str) else _dumps(result), config.out)
+            return 0
+    except ValueError as exc:
         print(f"zetalab {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "mellin":
-        result = cmd_mellin(config)
-        if isinstance(result, str):
-            _write_or_print(result, config.out)
-        else:
-            _write_or_print(_dumps(result), config.out)
-        return 0
-    raise AssertionError("unreachable")
+    report = cmd_verify(config) if args.command == "verify" else cmd_oracle(config)
+    _write_or_print(_dumps(report), config.out)
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -7,8 +7,11 @@ generator powers, built as giant steps times baby steps).  A character is
 nothing but (q, index k) on the dual grid: parity (CharacterGroup.parity,
 one rule for one index or an array), conductor, primitivity and label are
 read off k, and its value table (exact integer phases) is built only when
-read.  CharacterGroup.sums gives sum_r chi(r) f(r) for every chi at once by
-one FFT over the discrete-log grid.
+read.  The primitive characters of q are one int64 index array, a row per
+character (enumerate_characters, one mask per component), and the scan works
+on those rows without building a character object.  CharacterGroup.sums
+gives sum_r chi(r) f(r) for every chi at once by one FFT over the
+discrete-log grid.
 
 Central values are computed two independent ways:
 
@@ -367,24 +370,33 @@ def all_characters(q: int) -> list:
     return [DirichletCharacter(q, idx) for idx in itertools.product(*map(range, orders))]
 
 
-def _primitive_range(c: _Component) -> Sequence[int]:
-    """The indices on one component whose characters have the full conductor there."""
-    if c.kind == "two_sign":
-        return range(2)  # free: primitivity at 2^e, e >= 3, is decided by the 5-power index
-    return [k for k in range(c.order) if _local_conductor(c, k) == c.power]
+def enumerate_characters(q: int) -> np.ndarray:
+    """The primitive characters mod q as one int64 index array, a row k per chi_k.
 
-
-def enumerate_characters(q: int) -> list:
-    """All primitive characters mod q (empty for q = 2 mod 4), in lexicographic index order.
-
-    Primitivity is a condition on each component of the index (its local
-    conductor is the full prime power), so only the primitive indices are built.
+    The rows are in lexicographic index order, the order of all_characters;
+    q = 1 gives one row of length 0 and q = 2 mod 4 gives none.  Primitivity
+    is a condition on each component of the index (its local conductor, the
+    rule of _local_conductor, is the full prime power), so each component
+    contributes one mask and the rows are the product of the masked ranges.
+    DirichletCharacter(q, tuple(k)) is the character of a row k.
     """
     group = character_group(q)
-    if q % 4 == 2:
-        return []  # no character mod 2 has conductor 2
-    ranges = map(_primitive_range, group.components)
-    return [DirichletCharacter(q, idx) for idx in itertools.product(*ranges)]
+    # one empty row to extend, or none at q = 2 mod 4: no character mod 2 has conductor 2
+    rows = np.zeros((0 if q % 4 == 2 else 1, 0), dtype=np.int64)
+    for c in group.components:
+        k = np.arange(c.order, dtype=np.int64)
+        d = c.order // np.gcd(c.order, k)  # the order of the character on c
+        if c.kind == "odd":
+            keep = (k != 0) & (d % (c.power // c.prime) == 0)
+        elif c.kind == "four":
+            keep = k == 1
+        elif c.kind == "two_five":
+            keep = 4 * d == c.power
+        else:  # two_sign is free: primitivity at 2^e, e >= 3, is decided by the 5-power index
+            keep = np.ones(c.order, dtype=bool)
+        k = k[keep]
+        rows = np.column_stack([np.repeat(rows, len(k), axis=0), np.tile(k, len(rows))])
+    return rows
 
 
 def character_by_label(q: int, label: str) -> DirichletCharacter:
@@ -881,15 +893,15 @@ def _modulus_maximum(q: int, target_abs_error: float) -> Optional[tuple]:
     """(max |L(1/2, chi)|, label) over the primitive characters mod q.
 
     Per parity, every sum of the AFE comes from one transform over the
-    character group, gathered at that parity's primitive indices.
+    character group, gathered at that parity's rows of enumerate_characters;
+    only the winning row becomes a character, for its label.
     """
-    chars = enumerate_characters(q)
-    if not chars:
+    indices = enumerate_characters(q)
+    if not len(indices):
         return None
     group = character_group(q)
-    indices = np.array([chi.index for chi in chars])
     parities = group.parity(indices)
-    best, best_k = -1.0, 0
+    best, best_row = -1.0, 0
     for parity in (0, 1):
         family = np.flatnonzero(parities == parity)
         if not family.size:
@@ -899,8 +911,8 @@ def _modulus_maximum(q: int, target_abs_error: float) -> Optional[tuple]:
         vals = np.abs(_central_values(q, parity, sums, target_abs_error, 1.0))
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best, best_k = float(vals[k]), family[k]
-    return best, chars[best_k].label
+            best, best_row = float(vals[k]), family[k]
+    return best, DirichletCharacter(q, tuple(indices[best_row].tolist())).label
 
 
 def scan(q_min: int, q_max: int, stride: int = 1, target_abs_error: float = 1e-8,

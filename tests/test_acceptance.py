@@ -251,12 +251,17 @@ def test_criterion_5_mellin():
 # -- criterion 6: central-value cross-validation ----------------------------------------------
 
 
+def _primitive_characters(q: int) -> list:
+    """The primitive characters mod q as objects, in the order of their index rows."""
+    return [lfunc.DirichletCharacter(q, tuple(k)) for k in lfunc.enumerate_characters(q).tolist()]
+
+
 def test_criterion_6_lvalue_cross_validation():
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
     for q in range(3, 201):
-        for chi in lfunc.enumerate_characters(q):
+        for chi in _primitive_characters(q):
             diff = abs(lfunc.l_central(chi, 1e-9) - lfunc.l_oracle_hurwitz(chi, 0.5))
             worst = max(worst, diff)
             count += 1
@@ -264,7 +269,7 @@ def test_criterion_6_lvalue_cross_validation():
     sampled = 0
     while sampled < 100:
         q = rng.randint(201, 3000)
-        chars = lfunc.enumerate_characters(q)
+        chars = _primitive_characters(q)
         if not chars:
             continue
         chi = chars[rng.randrange(len(chars))]
@@ -318,7 +323,7 @@ def _convexity_envelope(chi) -> float:
 def test_convexity_envelope_bounds_hurwitz_values():
     worst, count = 0.0, 0
     for q in range(3, 201):
-        for chi in lfunc.enumerate_characters(q):
+        for chi in _primitive_characters(q):
             worst = max(worst, abs(lfunc.l_oracle_hurwitz(chi, 0.5)) / _convexity_envelope(chi))
             count += 1
     assert report(

@@ -103,6 +103,10 @@ def test_bad_lvalue_and_scan_input_is_one_line(capsys):
     for argv, message in (
         (["lvalue", "--q", "199999", "--label", "5"], "modulus limit is 100000"),
         (["scan", "--qmin", "2", "--qmax", "5"], "need 3 <= q_min <= q_max"),
+        (["lvalue", "--q", "5", "--label", "x"], "invalid literal for int()"),
+        (["mellin", "--s", "1"], "expected re,im"),
+        (["mellin", "--grid", "1:2"], "grid format is re0:re1:nre:im0:im1:nim"),
+        (["verify", "--nmax", "99"], "nmax must lie in [0, "),
     ):
         assert run_main(argv) == 2
         captured = capsys.readouterr()

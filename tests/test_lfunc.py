@@ -1,5 +1,6 @@
 """Characters, Gauss sums, Hurwitz oracle, approximate functional equation."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -14,11 +15,20 @@ from zetalab import lfunc as lf
 # -- characters ----------------------------------------------------------------
 
 
+def primitive_characters(q: int) -> list:
+    """The primitive characters mod q as objects, in the order of their index rows."""
+    return [lf.DirichletCharacter(q, tuple(k)) for k in lf.enumerate_characters(q).tolist()]
+
+
 def test_primitive_counts_small():
     assert len(lf.enumerate_characters(4)) == 1
     assert len(lf.enumerate_characters(5)) == 3
     assert len(lf.enumerate_characters(8)) == 2
-    assert lf.enumerate_characters(6) == []  # 2 mod 4 has no primitive characters
+    assert lf.enumerate_characters(1).shape == (1, 0)  # the trivial character has conductor 1
+    # 2 mod 4 has no primitive characters
+    assert lf.enumerate_characters(2).shape == (0, 0)
+    assert lf.enumerate_characters(6).shape == (0, 1)
+    assert lf.enumerate_characters(2 * 3 * 5 * 7).shape == (0, 3)
 
 
 @pytest.mark.parametrize("q", list(range(3, 80)))
@@ -65,16 +75,21 @@ def test_complete_multiplicativity():
             assert chi(q) == 0 or q == 1
 
 
-@pytest.mark.parametrize("q", [1, 2, 4, 8, 9, 16, 25, 27, 32, 45, 48, 60, 64, 105, 120, 243, 360, 2048, 2520])
+@pytest.mark.parametrize("q", sorted({*range(1, 1200), 2048, 2520, 4096, 8192, 9240, 65536,
+                                       3**10, 5**7, 99991}))
 def test_primitive_indices_match_filtered_group(q):
-    # enumerate_characters builds only the primitive indices, in the same order
-    filtered = [chi.label for chi in lf.all_characters(q) if chi.is_primitive]
-    assert [chi.label for chi in lf.enumerate_characters(q)] == filtered
+    # the per-component masks give the rows of conductor q among all indices, in the same order
+    group = lf.character_group(q)
+    rows = lf.enumerate_characters(q)
+    filtered = [k for k in itertools.product(*map(range, group.orders))
+                if lf._conductor_of_index(group, k) == q]
+    assert rows.dtype == np.int64 and rows.shape == (len(filtered), len(group.orders))
+    assert list(map(tuple, rows.tolist())) == filtered
 
 
 def test_character_label_roundtrip():
     for q in (4, 45, 56):
-        for chi in lf.enumerate_characters(q):
+        for chi in primitive_characters(q):
             again = lf.character_by_label(q, chi.label)
             assert np.allclose(again.values, chi.values)
     with pytest.raises(lf.LfuncError):
@@ -82,7 +97,7 @@ def test_character_label_roundtrip():
 
 
 def test_conj_character():
-    chi = lf.enumerate_characters(7)[1]
+    chi = primitive_characters(7)[1]
     conj = chi.conj()
     assert np.allclose(conj.values, np.conj(chi.values))
 
@@ -148,14 +163,14 @@ def test_discrete_logs_large_moduli(q):
 
 
 def test_gauss_sum_chi_minus_four():
-    chi = lf.enumerate_characters(4)[0]
+    chi = primitive_characters(4)[0]
     assert abs(lf.gauss_sum(chi) - 2j) < 1e-12
 
 
 def test_gauss_sum_quadratic_mod_five():
     quads = [
         c
-        for c in lf.enumerate_characters(5)
+        for c in primitive_characters(5)
         if all(abs(c(n).imag) < 1e-12 for n in range(5))
     ]
     assert len(quads) == 1
@@ -165,7 +180,7 @@ def test_gauss_sum_quadratic_mod_five():
 def test_gauss_modulus_exhaustive_up_to_500():
     # |tau(chi)|^2 = q for every primitive character, batched per modulus
     for q in range(3, 501):
-        chars = lf.enumerate_characters(q)
+        chars = primitive_characters(q)
         if not chars:
             continue
         mat = np.stack([chi.values for chi in chars])
@@ -184,7 +199,7 @@ def test_root_numbers_unimodular():
     done = 0
     while done < 50:
         q = rng.randint(3, 500)
-        chars = lf.enumerate_characters(q)
+        chars = primitive_characters(q)
         if not chars:
             continue
         chi = chars[rng.randrange(len(chars))]
@@ -234,13 +249,13 @@ def test_real_oracle_matches_complex_arithmetic():
         xs = np.arange(1, q + 1) / q
         row = lf._hurwitz_vec(0.5, xs + 0j)
         assert row.dtype == np.complex128
-        for chi in lf.enumerate_characters(q)[:: max(1, q // 7)]:
+        for chi in primitive_characters(q)[:: max(1, q // 7)]:
             ref = q**-0.5 * np.sum(np.roll(chi.values, -1) * row)
             assert abs(lf.l_oracle_hurwitz(chi, 0.5) - ref) <= 1e-13, (q, chi.label)
 
 
 def test_leibniz_value():
-    chi = lf.enumerate_characters(4)[0]
+    chi = primitive_characters(4)[0]
     assert abs(lf.l_oracle_hurwitz(chi, 1.0) - math.pi / 4) < 1e-10
 
 
@@ -257,7 +272,7 @@ def test_hurwitz_domain_guard():
 
 
 def test_central_value_chi_minus_four():
-    chi = lf.enumerate_characters(4)[0]
+    chi = primitive_characters(4)[0]
     value = lf.l_central(chi, 1e-9)
     oracle = lf.l_oracle_hurwitz(chi, 0.5)
     assert abs(value - oracle) <= 2e-8
@@ -268,7 +283,7 @@ def test_central_value_chi_minus_four():
 def test_afe_matches_oracle_sampled():
     worst = 0.0
     for q in (5, 7, 8, 9, 11, 12, 13, 16, 35, 49, 101, 144, 243):
-        for chi in lf.enumerate_characters(q):
+        for chi in primitive_characters(q):
             d = abs(lf.l_central(chi, 1e-9) - lf.l_oracle_hurwitz(chi, 0.5))
             worst = max(worst, d)
     assert worst <= 2e-8, worst
@@ -276,7 +291,7 @@ def test_afe_matches_oracle_sampled():
 
 def test_balance_independence():
     for q in (4, 17, 35):
-        for chi in lf.enumerate_characters(q)[:3]:
+        for chi in primitive_characters(q)[:3]:
             a = lf.l_central(chi, 1e-9, balance=1.0)
             b = lf.l_central(chi, 1e-9, balance=2.0)
             assert abs(a - b) <= 2e-9, (q, chi.label)
@@ -285,7 +300,7 @@ def test_balance_independence():
 def test_balance_independence_at_the_largest_moduli():
     # across the whole balance range, at the top of the supported moduli
     for q in (99991, lf.MAX_MODULUS):
-        chars = lf.enumerate_characters(q)
+        chars = primitive_characters(q)
         for chi in (chars[0], chars[len(chars) // 3], chars[-1]):
             ref = lf.l_central(chi, 1e-9)
             bound = lf._afe_weights(q, chi.parity, 1.0, 1e-9).error_bound
@@ -296,7 +311,7 @@ def test_balance_independence_at_the_largest_moduli():
 
 def test_conjugation_symmetry():
     for q in (7, 29):
-        for chi in lf.enumerate_characters(q)[:4]:
+        for chi in primitive_characters(q)[:4]:
             a = lf.l_central(chi.conj(), 1e-9)
             b = lf.l_central(chi, 1e-9).conjugate()
             assert abs(a - b) <= 1e-9
@@ -374,7 +389,7 @@ def test_l_central_input_guards():
     with pytest.raises(lf.LfuncError):
         lf.l_central(imprim)
     with pytest.raises(lf.LfuncError):
-        lf.l_central(lf.enumerate_characters(3)[0], balance=100.0)
+        lf.l_central(primitive_characters(3)[0], balance=100.0)
     # past the moduli the weight tables cover, as the scan refuses them
     with pytest.raises(lf.LfuncError, match="modulus limit is 100000"):
         lf.l_central(lf.character_by_label(199999, "5"))
@@ -399,15 +414,35 @@ def test_scan_batched_matches_per_character():
     recs = lf.scan(100, 105, stride=1) + [r for q in (2048, 2310, 2520) for r in lf.scan(q, q)]
     assert [r.q for r in recs] == [100, 101, 103, 104, 105, 2048, 2520]
     for r in recs:
-        ref = max(abs(lf.l_central(c, 1e-8)) for c in lf.enumerate_characters(r.q))
+        ref = max(abs(lf.l_central(c, 1e-8)) for c in primitive_characters(r.q))
         assert abs(ref - r.abs_l) <= 1e-10
 
 
 def test_scan_checks_gauss_sums(monkeypatch):
     # an imprimitive character passed off as primitive has |tau| != sqrt(q)
-    monkeypatch.setattr(lf, "enumerate_characters", lf.all_characters)
+    def every_index(q):
+        orders = lf.character_group(q).orders
+        return np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+
+    monkeypatch.setattr(lf, "enumerate_characters", every_index)
     with pytest.raises(lf.LfuncError, match="Gauss sum"):
         lf.scan(105, 105)
+
+
+@pytest.mark.parametrize("q", [6, 105, 2048, 2310, 9973])
+def test_scan_enumerates_through_the_module_attribute(monkeypatch, q):
+    # perfbench/worker.py counts the characters a scan evaluates by wrapping this attribute
+    calls = []
+    enumerate_characters = lf.enumerate_characters
+
+    def counting(modulus):
+        rows = enumerate_characters(modulus)
+        calls.append((modulus, len(rows)))
+        return rows
+
+    monkeypatch.setattr(lf, "enumerate_characters", counting)
+    lf.scan(q, q)
+    assert calls == [(q, lf.primitive_character_count(q))]
 
 
 def test_scan_prime_near_ten_thousand_is_light():
