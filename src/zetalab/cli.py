@@ -15,7 +15,9 @@ mellin   cutoff Mellin transform values, single point or CSV grid
 
 All sampling is driven by the seed in the run configuration, and summation
 orders are fixed, so every command is byte-reproducible (record timing only
-if you opt in with --timing).
+if you opt in with --timing).  Every default lives in RunConfig: the parser
+records only the options given, and an unset target means LVALUE_TARGET for
+lvalue and SCAN_TARGET for scan.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ LVALUE_TARGET, SCAN_TARGET = 1e-9, 1e-8  # absolute error targets when none is g
 class RunConfig:
     command: str = "verify"
     nmax: int = 6
-    lmax: int = 6
     tol: float = 1e-9
     npoints: int = 20
     qmin: int = SCAN_QMIN
@@ -66,8 +67,6 @@ class RunConfig:
     def __post_init__(self):
         if self.nmax < 0 or self.nmax > locgl2.N_MAX:
             raise ValueError(f"nmax must lie in [0, {locgl2.N_MAX}]")
-        if self.lmax < 0 or self.lmax > locgl2.L_MAX_RATIO:
-            raise ValueError(f"lmax must lie in [0, {locgl2.L_MAX_RATIO}]")
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +130,11 @@ def _symbolic_checks(config: RunConfig):
     back = locgl2.solve_transition(fwd)
     for nn, (b, s0) in enumerate(zip(back, seq)):
         yield f"solve_roundtrip[n={nn}]", b - s0
-    for l in range(0, min(config.lmax, n) + 1):
+    lmax = min(locgl2.L_MAX_RATIO, n)
+    for l in range(lmax + 1):
         yield f"dual_ratio[l={l}]", locgl2.dual_ratio_residual(l)
     # the one-variable ratios satisfy the defining translate identity
-    ratios = [locgl2.zeta_ratio(l).value for l in range(0, min(config.lmax, n) + 1)]
+    ratios = [locgl2.zeta_ratio(l).value for l in range(lmax + 1)]
     for nn in range(len(ratios)):
         acc = -SymElem.monomial("T", nn)
         for l in range(nn + 1):
@@ -149,6 +149,16 @@ def _symbolic_checks(config: RunConfig):
         yield f"mu_vs_raw[l={l}]", mu - raw
 
 
+def _closed_forms_pin() -> bool:
+    return load_golden("locgl2_closed_forms.json") == locgl2.golden_payload()
+
+
+def _mellin_decay_pin() -> bool:
+    stored = load_golden("mellin_decay.json")
+    c_now = mellin.measure_decay_constant(stored["sigma"], stored["t_grid"], stored["order"])
+    return bool(abs(c_now - stored["constant"]) <= 1e-9 * stored["constant"])
+
+
 def cmd_verify(config: RunConfig) -> dict:
     checks = []
     ok_all = True
@@ -156,27 +166,15 @@ def cmd_verify(config: RunConfig) -> dict:
         ok = residual.is_zero
         ok_all &= ok
         checks.append({"id": cid, "kind": "symbolic", "pass": ok})
-    # golden pins
-    try:
-        stored = load_golden("locgl2_closed_forms.json")
-        fresh = locgl2.golden_payload()
-        ok = stored == fresh
-        checks.append({"id": "golden[locgl2_closed_forms]", "kind": "golden", "pass": ok})
-        ok_all &= ok
-    except FileNotFoundError:
-        checks.append({"id": "golden[locgl2_closed_forms]", "kind": "golden", "pass": False,
-                       "note": "golden file missing"})
-        ok_all = False
-    try:
-        stored = load_golden("mellin_decay.json")
-        c_now = mellin.measure_decay_constant(stored["sigma"], stored["t_grid"], stored["order"])
-        ok = bool(abs(c_now - stored["constant"]) <= 1e-9 * stored["constant"])
-        checks.append({"id": "golden[mellin_decay]", "kind": "golden", "pass": ok})
-        ok_all &= ok
-    except FileNotFoundError:
-        checks.append({"id": "golden[mellin_decay]", "kind": "golden", "pass": False,
-                       "note": "golden file missing"})
-        ok_all = False
+    pins = (("locgl2_closed_forms", _closed_forms_pin), ("mellin_decay", _mellin_decay_pin))
+    for name, pin_holds in pins:
+        check = {"id": f"golden[{name}]", "kind": "golden"}
+        try:
+            check["pass"] = pin_holds()
+        except FileNotFoundError:
+            check.update({"pass": False, "note": "golden file missing"})
+        ok_all &= check["pass"]
+        checks.append(check)
     return {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -244,7 +242,7 @@ def cmd_oracle(config: RunConfig) -> dict:
             p = _sample_point(rng)
             closed = closed_form.substitute(p)
             probe = oracle_fn(p)
-            rel = abs(closed - probe) / max(1.0, abs(closed))
+            rel = float(abs(closed - probe) / max(1.0, abs(closed)))
             ok = rel <= config.tol
             ok_all &= ok
             records.append(
@@ -276,7 +274,7 @@ def cmd_oracle(config: RunConfig) -> dict:
     worst = 0.0
     for l in range(5):
         want = locgl2.transition_coeff(4, l).substitute(p)
-        worst = max(worst, abs(sol[l] - want) / max(1.0, abs(want)))
+        worst = max(worst, float(abs(sol[l] - want) / max(1.0, abs(want))))
     ok = worst <= max(config.tol, 1e-11)
     ok_all &= ok
     return {
@@ -398,60 +396,44 @@ def _build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", type=str, default=None, help="write the report/CSV here")
+    def subcommand(name, summary):
+        # SUPPRESS leaves unset options out of the namespace, so RunConfig supplies them
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--out", type=str, help="write the report/CSV here")
+        return p
 
-    pv = sub.add_parser("verify", help="symbolic identity suite and golden pins")
-    common(pv)
-    pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pv.add_argument("--nmax", type=int, default=6)
-    pv.add_argument("--lmax", type=int, default=6)
+    pv = subcommand("verify", "symbolic identity suite and golden pins")
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--nmax", type=int)
 
-    po = sub.add_parser("oracle", help="closed forms vs brute-force oracles")
-    common(po)
-    po.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    po.add_argument("--npoints", type=int, default=20)
-    po.add_argument("--tol", type=float, default=1e-9)
+    po = subcommand("oracle", "closed forms vs brute-force oracles")
+    po.add_argument("--seed", type=int)
+    po.add_argument("--npoints", type=int)
+    po.add_argument("--tol", type=float)
 
-    pl = sub.add_parser("lvalue", help="one central L-value")
-    common(pl)
+    pl = subcommand("lvalue", "one central L-value")
     pl.add_argument("--q", type=int, required=True)
     pl.add_argument("--label", type=str, required=True)
-    pl.add_argument("--target", type=float, default=LVALUE_TARGET)
-    pl.add_argument("--balance", type=float, default=1.0)
+    pl.add_argument("--target", type=float)
+    pl.add_argument("--balance", type=float)
 
-    ps = sub.add_parser("scan", help="conductor-exponent scan")
-    common(ps)
-    ps.add_argument("--qmin", type=int, default=SCAN_QMIN)
-    ps.add_argument("--qmax", type=int, default=SCAN_QMAX)
-    ps.add_argument("--stride", type=int, default=SCAN_STRIDE)
-    ps.add_argument("--theta", type=str, default="7/64")
+    ps = subcommand("scan", "conductor-exponent scan")
+    ps.add_argument("--qmin", type=int)
+    ps.add_argument("--qmax", type=int)
+    ps.add_argument("--stride", type=int)
+    ps.add_argument("--theta", type=str)
     ps.add_argument("--timing", action="store_true")
-    ps.add_argument("--target", type=float, default=SCAN_TARGET)
+    ps.add_argument("--target", type=float)
 
-    pm = sub.add_parser("mellin", help="cutoff Mellin transform values")
-    common(pm)
-    pm.add_argument("--s", type=str, default="1,0", help="point as re,im")
-    pm.add_argument("--order", type=int, default=0)
-    pm.add_argument("--grid", type=str, default=None,
-                    help="grid as re0:re1:nre:im0:im1:nim (emits CSV)")
+    pm = subcommand("mellin", "cutoff Mellin transform values")
+    pm.add_argument("--s", type=str, help="point as re,im")
+    pm.add_argument("--order", type=int)
+    pm.add_argument("--grid", type=str, help="grid as re0:re1:nre:im0:im1:nim (emits CSV)")
     return ap
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
 def _write_or_print(text: str, out: Optional[str]):
@@ -466,23 +448,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # bad input to the configuration, lvalue, scan or mellin is one error line, exit 2
     try:
-        config = RunConfig(**{k: v for k, v in vars(args).items() if v is not None or k == "out"})
+        config = RunConfig(**vars(args))
         if args.command == "lvalue":
             report = cmd_lvalue(config)
             _write_or_print(_dumps(report), config.out)
             return 0 if report.get("pass", True) else 1
         if args.command == "scan":
             records, summary = cmd_scan(config)
-            csv_text = scan_csv(records)
-            if config.out:
-                with open(config.out, "w") as fh:
-                    fh.write(csv_text)
-                summary_path = config.out + ".summary.json"
-                with open(summary_path, "w") as fh:
-                    fh.write(_dumps(summary))
-            else:
-                sys.stdout.write(csv_text)
-                sys.stdout.write(_dumps(summary))
+            _write_or_print(scan_csv(records), config.out)
+            _write_or_print(_dumps(summary), config.out and config.out + ".summary.json")
             return 0
         if args.command == "mellin":
             result = cmd_mellin(config)

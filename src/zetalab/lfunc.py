@@ -98,7 +98,6 @@ __all__ = [
     "gauss_sum",
     "root_number",
     "hurwitz_zeta",
-    "riemann_zeta",
     "l_oracle_hurwitz",
     "l_central",
     "scan",
@@ -402,10 +401,14 @@ def enumerate_characters(q: int) -> np.ndarray:
 def character_by_label(q: int, label: str) -> DirichletCharacter:
     """Look up a character mod q by its dot-joined exponent label."""
     orders = character_group(q).orders
-    trivial = not orders and label in ("", "0")
-    index = () if trivial else tuple(int(p) for p in label.split("."))
+    label_format = f"dot-joined integers, one per component of (Z/{q})^* (it has {len(orders)})"
+    try:
+        index = () if not orders and label in ("", "0") else tuple(int(p) for p in label.split("."))
+    except ValueError:
+        raise LfuncError(f"label {label!r} mod {q} must be {label_format}") from None
     if len(index) != len(orders):
-        raise LfuncError("index length does not match the unit-group decomposition")
+        raise LfuncError(
+            f"label {label!r} mod {q} has {len(index)} parts; it must be {label_format}")
     return DirichletCharacter(q, tuple(k % n for k, n in zip(index, orders)))
 
 
@@ -514,10 +517,6 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
     if not 0 < x <= 1:
         raise LfuncError("offset must lie in (0, 1]")
     return complex(_hurwitz_vec(s, np.array([float(x)]))[0])
-
-
-def riemann_zeta(s: complex) -> complex:
-    return hurwitz_zeta(s, 1.0)
 
 
 @lru_cache(maxsize=64)

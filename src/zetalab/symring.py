@@ -43,9 +43,6 @@ __all__ = [
     "SymElem",
     "EvalPoint",
     "RatFunc",
-    "arith",
-    "d_ds",
-    "substitute",
     "GEN_Q",
     "GEN_T0",
     "GEN_T",
@@ -201,10 +198,6 @@ class SymElem:
     @property
     def is_zero(self) -> bool:
         return (not self.an) and (not self.bn)
-
-    @property
-    def has_radical_part(self) -> bool:
-        return bool(self.bn)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymElem):
@@ -466,27 +459,6 @@ def q_pow(k: int) -> SymElem:
 def t_pow(svar: str, k: int) -> SymElem:
     """q**(-k*svar) as a Laurent monomial in the matching T-variable."""
     return SymElem.monomial(_T_OF_SVAR[svar], k)
-
-
-def arith(a: SymElem, b: SymElem, op: str) -> SymElem:
-    """Named-op arithmetic entry point; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise SymRingError(f"unknown op {op!r}")
-
-
-def d_ds(elem: SymElem, var: str) -> SymElem:
-    return elem.d_ds(var)
-
-
-def substitute(elem: SymElem, at: EvalPoint) -> complex:
-    return elem.substitute(at)
 
 
 # ---------------------------------------------------------------------------

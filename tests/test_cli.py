@@ -23,7 +23,7 @@ def test_verify_passes_and_counts(tmp_path):
 
 
 def test_verify_depth_subset():
-    report = cli.cmd_verify(cli.RunConfig(nmax=2, lmax=2))
+    report = cli.cmd_verify(cli.RunConfig(nmax=2))
     assert report["passed"]
     assert report["num_checked"] < cli.cmd_verify(cli.RunConfig())["num_checked"]
 
@@ -44,6 +44,17 @@ def test_verify_fails_loudly_on_corrupted_golden(monkeypatch):
     assert not report["passed"]
     bad = [c for c in report["checks"] if not c["pass"]]
     assert any(c["id"] == "golden[locgl2_closed_forms]" for c in bad)
+
+    def missing_load(name):
+        if name == "mellin_decay.json":
+            raise FileNotFoundError(name)
+        return orig(name)
+
+    monkeypatch.setattr(cli, "load_golden", missing_load)
+    report = cli.cmd_verify(cli.RunConfig(nmax=0))
+    assert not report["passed"]
+    assert {"id": "golden[mellin_decay]", "kind": "golden", "pass": False,
+            "note": "golden file missing"} in report["checks"]
 
 
 def test_oracle_report_passes(tmp_path):
@@ -103,7 +114,10 @@ def test_bad_lvalue_and_scan_input_is_one_line(capsys):
     for argv, message in (
         (["lvalue", "--q", "199999", "--label", "5"], "modulus limit is 100000"),
         (["scan", "--qmin", "2", "--qmax", "5"], "need 3 <= q_min <= q_max"),
-        (["lvalue", "--q", "5", "--label", "x"], "invalid literal for int()"),
+        (["lvalue", "--q", "5", "--label", "x"],
+         "label 'x' mod 5 must be dot-joined integers, one per component of (Z/5)^* (it has 1)"),
+        (["lvalue", "--q", "5", "--label", "1.2"],
+         "label '1.2' mod 5 has 2 parts; it must be dot-joined integers, one per component"),
         (["mellin", "--s", "1"], "expected re,im"),
         (["mellin", "--grid", "1:2"], "grid format is re0:re1:nre:im0:im1:nim"),
         (["verify", "--nmax", "99"], "nmax must lie in [0, "),
@@ -174,8 +188,18 @@ def test_run_config_default_target_per_command(monkeypatch):
     assert seen == [1e-8, 1e-8, 1e-9]
 
 
+def test_parser_leaves_every_default_to_run_config():
+    for argv, required in (
+        (["verify"], {}),
+        (["oracle"], {}),
+        (["lvalue", "--q", "5", "--label", "1"], {"q": 5, "label": "1"}),
+        (["scan"], {}),
+        (["mellin"], {}),
+    ):
+        parsed = cli.RunConfig(**vars(cli._build_parser().parse_args(argv)))
+        assert parsed == cli.RunConfig(command=argv[0], **required)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(nmax=99)
-    with pytest.raises(ValueError):
-        cli.RunConfig(lmax=-1)

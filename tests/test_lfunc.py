@@ -211,16 +211,16 @@ def test_root_numbers_unimodular():
 
 
 def test_riemann_zeta_half():
-    assert abs(lf.riemann_zeta(0.5) - (-1.4603545088095868)) < 1e-9
+    assert abs(lf.hurwitz_zeta(0.5, 1.0) - (-1.4603545088095868)) < 1e-9
 
 
 def test_hurwitz_two_cut_points_agree():
-    v1 = lf.riemann_zeta(0.5 + 3j)
+    v1 = lf.hurwitz_zeta(0.5 + 3j, 1.0)
     old = lf._EM_TERMS
     try:
         lf._EM_TERMS = 100
         lf._hurwitz_row.cache_clear()
-        v2 = lf.riemann_zeta(0.5 + 3j)
+        v2 = lf.hurwitz_zeta(0.5 + 3j, 1.0)
     finally:
         lf._EM_TERMS = old
         lf._hurwitz_row.cache_clear()
@@ -464,6 +464,10 @@ def test_scan_reproducible_without_timing():
     b = lf.scan(120, 140, stride=1)
     assert a == b
     assert all(r.seconds == 0.0 for r in a)
+    timed = lf.scan(120, 140, timing=True)
+    values = [(r.q, r.label, r.abs_l, r.normalized) for r in a]
+    assert [(r.q, r.label, r.abs_l, r.normalized) for r in timed] == values
+    assert all(r.seconds >= 0 for r in timed)
 
 
 def test_burgess_target_values():
