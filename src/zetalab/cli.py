@@ -67,6 +67,8 @@ class RunConfig:
     def __post_init__(self):
         if self.nmax < 0 or self.nmax > locgl2.N_MAX:
             raise ValueError(f"nmax must lie in [0, {locgl2.N_MAX}]")
+        if self.npoints < 1:
+            raise ValueError(f"npoints must be >= 1 (got {self.npoints})")
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,8 @@ def _conductor_of_index(group: CharacterGroup, index: tuple) -> int:
     return cond
 
 
-@lru_cache(maxsize=64)
+# one modulus q uses two tables: lambda(q) for character values, q for Gauss sums
+@lru_cache(maxsize=2)
 def _root_table(exponent: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(exponent) / exponent)
 
@@ -453,7 +454,7 @@ def _check_gauss(q: int, tau) -> None:
 
 def _gauss_sums(q: int, sums):
     """tau(chi) = sums(e(r/q)) for the characters sums ranges over, checked."""
-    tau = sums(np.exp(2j * np.pi * np.arange(q) / q))
+    tau = sums(_root_table(q))
     _check_gauss(q, tau)
     return tau
 
@@ -918,11 +919,16 @@ def scan(q_min: int, q_max: int, stride: int = 1, target_abs_error: float = 1e-8
          timing: bool = False) -> list:
     """Max central value over primitive characters for each modulus in range.
 
-    Moduli without primitive characters (q = 2 mod 4) are skipped.  Record
-    timing only when asked: the default keeps re-runs byte-identical.
+    Moduli without primitive characters (q = 2 mod 4) are skipped, so an
+    even stride from an even q_min, which would keep at most the multiples
+    of 4, is refused.  Record timing only when asked: the default keeps
+    re-runs byte-identical.
     """
     if q_min < 3 or q_max < q_min or stride < 1:
         raise LfuncError("need 3 <= q_min <= q_max and stride >= 1")
+    if q_min % 2 == 0 and stride % 2 == 0 and q_min + stride <= q_max:
+        raise LfuncError(f"stride {stride} from q_min {q_min} visits even q only, and "
+                         "q = 2 mod 4 has no primitive characters; make stride or q_min odd")
     records = []
     for q in range(q_min, q_max + 1, stride):
         t0 = time.perf_counter()

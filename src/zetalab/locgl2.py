@@ -12,11 +12,12 @@ non-archimedean local field with residue size q:
 * eigenvalues of the (normalized) standard intertwining operator on each
   K-type, including the archimedean factors as plain rational functions of s;
 * the transition coefficients c(n, l; s0) expanding a diagonal translate of
-  the spherical vector in the classical basis, with the explicit inversion of
-  the triangular system;
+  the spherical vector in the classical basis, and their three-term
+  recursion, which is checked, not used to solve;
 * closed forms for the local zeta values and ratios attached to three
   pairings: the one-variable Mellin transform, the Rankin-Selberg pairing of
-  two spherical Whittaker functions, and the hermitian (conjugate) pairing.
+  two spherical Whittaker functions, and the hermitian (conjugate) pairing,
+  each solved from its lower-triangular system by one forward substitution.
 
 Everything is a SymElem over Q = q^(1/2), T0 = q^(-s0), T = q^(-s),
 T1 = q^(-s1), T2 = q^(-s2), so each identity below can be verified exactly.
@@ -286,14 +287,6 @@ def _geom(svar: str, j: int) -> SymElem:
     return acc
 
 
-def _geom_even(svar: str, n: int) -> SymElem:
-    """(q^(nv) - q^(-nv))/(1 - q^(-2v)) = sum_{i=0}^{n-1} q^((n-2i)v), n >= 1."""
-    acc = ZERO
-    for i in range(n):
-        acc = acc + t_pow(svar, -(n - 2 * i))
-    return acc
-
-
 @lru_cache(maxsize=None)
 def transition_coeff(n: int, l: int, svar: str = "s0") -> SymElem:
     """Closed form of c(n, l; s0) with removable poles expanded away.
@@ -310,12 +303,10 @@ def transition_coeff(n: int, l: int, svar: str = "s0") -> SymElem:
     t2 = t_pow(svar, 2)
     if l == 0:
         return q_pow(-n) / (1 + _QINV) * (_geom(svar, n + 1) - _QINV * _geom(svar, n - 1))
-    if l == 1:
-        return -q_pow(-(n - 1)) / (1 + _QINV) * _geom_even(svar, n) * (1 - _QINV * t2)
-    body = ZERO
-    for i in range(n - l + 1):
-        body = body + t_pow(svar, -(n - 2 * i))
-    return -q_pow(-(n - l)) * body * (1 - _QINV * t2) * _SQRT_RATIO_DOWN
+    # sum_{i=0}^{n-l} q^((n-2i)v); the l = 1 column is normalised differently
+    body = t_pow(svar, -l) * _geom(svar, n - l + 1)
+    norm = 1 / (1 + _QINV) if l == 1 else _SQRT_RATIO_DOWN
+    return -q_pow(-(n - l)) * body * (1 - _QINV * t2) * norm
 
 
 def tilde_c(n: int, l: int, svar: str = "s0") -> SymElem:
@@ -334,7 +325,8 @@ def tilde_c_residual(n: int, l: int, svar: str = "s0") -> SymElem:
 
     Row n plus the _recursion_weights times rows n - 1 and n - 2 is the unit
     vector; at n = 3 the last weight carries an extra factor (1 - q^-2)^(-1/2)
-    because the l = 1 column is normalised differently.
+    because the l = 1 column is normalised differently.  The recursion is
+    checked here only; solve_transition solves by forward substitution.
     """
     if n < 3:
         raise ValueError("recursion starts at n = 3")
@@ -351,39 +343,28 @@ def tilde_c_residual(n: int, l: int, svar: str = "s0") -> SymElem:
     return res
 
 
+def _solve_lower(rhs: Sequence[SymElem], coeff) -> list:
+    """Forward substitution: x_n = (rhs[n] - sum_{l<n} coeff(n, l) x_l)/coeff(n, n)."""
+    out = []
+    for n, r in enumerate(rhs):
+        for l, x in enumerate(out):
+            r = r - coeff(n, l) * x
+        out.append(r / coeff(n, n))
+    return out
+
+
 def solve_transition(a_seq: Sequence[SymElem], svar: str = "s0") -> list:
-    """Invert a_n = sum_l c(n, l) zeta_l by the three-term recursion.
+    """Solve a_n = sum_l c(n, l) zeta_l for zeta_0, ..., zeta_N by forward substitution.
 
-    zeta_0 = a_0, and for l >= 1
-
-        zeta_l = sum_j w_j a_j/c(j, j) - (sum_j w_j c(j, 0)/c(j, j)) a_0
-
-    over j = l, l - 1, l - 2 with j >= 1, where w_l = 1 and w_(l-1), w_(l-2)
-    are the _recursion_weights that tilde_c_residual checks.  The l = 1
-    column is normalised differently, so the j = 1 weight carries the extra
-    factor (1 - q^-2)^(-1/2) from l = 2 on.  The output satisfies the
-    defining system for every n < len(a_seq).
+    The system is lower triangular with c(n, n) != 0.  The three-term
+    recursion of the tilde coefficients (tilde_c_residual) is checked, not
+    used here.  The output satisfies the defining system for every
+    n < len(a_seq).
     """
     if len(a_seq) - 1 > N_MAX:
         raise ValueError(f"sequence depth capped at {N_MAX + 1}")
     a = [x if isinstance(x, SymElem) else SymElem.from_rational(x) for x in a_seq]
-    lower = _recursion_weights(svar)
-    head, tail = {}, {}  # a_j/c(j, j) and c(j, 0)/c(j, j)
-    out = [a[0]]
-    for l in range(1, len(a)):
-        cll = transition_coeff(l, l, svar)
-        head[l] = a[l] / cll
-        tail[l] = transition_coeff(l, 0, svar) / cll
-        h, t = head[l], -tail[l]
-        for w, j in zip(lower, (l - 1, l - 2)):
-            if j < 1:
-                break
-            if j == 1:
-                w = w * _INV_SQRT_ONE_MINUS
-            h = h + w * head[j]
-            t = t - w * tail[j]
-        out.append(h + t * a[0])
-    return out
+    return _solve_lower(a, lambda n, l: transition_coeff(n, l, svar))
 
 
 def evaluation_residual(n: int, k: int, svar: str = "s0") -> SymElem:
@@ -438,9 +419,9 @@ def zeta_ratio(l: int, dual: bool = False) -> LocalZetaClosedForm:
     """One-variable ratio zeta_l(s, s0) of the level-l value to the spherical one.
 
     solve_transition applied to the sequence a_n = q^(-n s); for l = 1, 2
-    its recursion is the displayed closed form term for term.  With dual=True
-    the ratio for the longest-Weyl translate is returned; it equals the plain
-    ratio at -s, realised by inverting the T-variable.
+    this is the displayed closed form.  With dual=True the ratio for the
+    longest-Weyl translate is returned; it equals the plain ratio at -s,
+    realised by inverting the T-variable.
     """
     if l < 0 or l > L_MAX_RATIO:
         raise ValueError(f"zeta ratios available for 0 <= l <= {L_MAX_RATIO}")
@@ -541,58 +522,28 @@ def herm_a_coeff(n: int) -> LocalZetaClosedForm:
 def herm_zeta_ratio(l: int) -> LocalZetaClosedForm:
     """Hermitian ratio ztilde_l(s, s1, s2) for l = 1, 2.
 
-    The first slot uses c(n, l; s1); the conjugated slot uses the same
-    symbolic coefficients in the s2-variable, since their coefficients are
-    real and conj(c(n, l; conj(s2))) = c(n, l; s2).  The middle term of the
-    l = 2 form is written with denominator (1+q^-1)^2 (1-q^-1): the literal
-    transcription of the source display, which has (1+q^-1)(1-q^-1)^2
-    instead, fails the defining linear system (checked both symbolically and
-    against brute-force cell summation).
+    Forward substitution in atilde_n = sum_l c(n, l; s1) c(n, l; s2) ztilde_l.
+    The conjugated slot uses the same symbolic coefficients in the
+    s2-variable, since they are real: conj(c(n, l; conj(s2))) = c(n, l; s2).
+    The source's l = 2 display has (1+q^-1)(1-q^-1)^2 in the denominator of
+    its middle term; that typo fails the defining system (checked both
+    symbolically and against brute-force cell summation), and the solution
+    has (1+q^-1)^2 (1-q^-1) there.
     """
     if l not in (1, 2):
         raise ValueError("closed forms exist for l in {1, 2}")
-    c10, c11 = transition_coeff(1, 0, "s1"), transition_coeff(1, 1, "s1")
-    d10, d11 = transition_coeff(1, 0, "s2"), transition_coeff(1, 1, "s2")
-    if l == 1:
-        val = (
-            t_pow("s", -1) / (c11 * d11) * (1 + _QINV * GEN_T**2) / (1 + _QINV)
-            - c10 * d10 / (c11 * d11)
-        )
-        return LocalZetaClosedForm(kind="herm_ratio_l", index=(1,), value=val)
-    c20, c22 = transition_coeff(2, 0, "s1"), transition_coeff(2, 2, "s1")
-    d20, d22 = transition_coeff(2, 0, "s2"), transition_coeff(2, 2, "s2")
-    first = (
-        ONE
-        / (c22 * d22)
-        * (
-            t_pow("s", -2) * (1 + q_pow(-4) * GEN_T**4) / (1 + _QINV)
-            + _QINV * (1 - _QINV) / (1 + _QINV)
-        )
-    )
-    middle = (
-        _QINV
-        * t_pow("s", -1)
-        * (1 + t_pow("s1", 2))
-        * (1 + t_pow("s2", 2))
-        / ((1 + _QINV) ** 2 * (1 - _QINV))
-        * (1 + _QINV * GEN_T**2)
-        / (c11 * d11)
-    )
-    rest = -c20 * d20 / (c22 * d22) + _QINV * (1 + t_pow("s1", 2)) * (1 + t_pow("s2", 2)) / (
-        1 - q_pow(-4)
-    ) * c10 * d10 / (c11 * d11)
-    return LocalZetaClosedForm(kind="herm_ratio_l", index=(2,), value=first - middle + rest)
+    a = [herm_a_coeff(n).value for n in range(l + 1)]
+    val = _solve_lower(
+        a, lambda n, k: transition_coeff(n, k, "s1") * transition_coeff(n, k, "s2")
+    )[l]
+    return LocalZetaClosedForm(kind="herm_ratio_l", index=(l,), value=val)
 
 
 def herm_system_residual(n: int) -> SymElem:
     """Defect of atilde_n = sum_l c(n,l;s1) c(n,l;s2) ztilde_l for n <= 2."""
     if n not in (0, 1, 2):
         raise ValueError("system recorded for n in {0, 1, 2}")
-    zt = [ONE]
-    if n >= 1:
-        zt.append(herm_zeta_ratio(1).value)
-    if n >= 2:
-        zt.append(herm_zeta_ratio(2).value)
+    zt = [ONE] + [herm_zeta_ratio(l).value for l in range(1, n + 1)]
     rhs = ZERO
     for l in range(n + 1):
         rhs = rhs + transition_coeff(n, l, "s1") * transition_coeff(n, l, "s2") * zt[l]

@@ -407,17 +407,15 @@ def herm_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
         raise OracleError("hermitian sums provided for l in {0, 1, 2}")
     if l == 0:
         return rs_by_summation(0, at, k_max)
-    q = at.q
-    cs1 = {n: _c_numeric(n, complex(at.s1), q) for n in (1, 2)}
-    cs2 = {n: _c_numeric(n, complex(at.s2).conjugate(), q).conjugate() for n in (1, 2)}
-    at1 = herm_a_by_summation(1, at, k_max)
-    zt1 = (at1 - cs1[1][0] * cs2[1][0]) / (cs1[1][1] * cs2[1][1])
-    if l == 1:
-        return zt1
-    at2 = herm_a_by_summation(2, at, k_max)
-    return (at2 - cs1[2][0] * cs2[2][0] - cs1[2][1] * cs2[2][1] * zt1) / (
-        cs1[2][2] * cs2[2][2]
-    )
+    zt = [1.0]  # ztilde_0 = 1: the system's n = 0 row is atilde_0 = 1
+    for n in range(1, l + 1):
+        c1 = _c_numeric(n, complex(at.s1), at.q)
+        c2 = _c_numeric(n, complex(at.s2).conjugate(), at.q).conjugate()
+        acc = herm_a_by_summation(n, at, k_max)
+        for k in range(n):
+            acc = acc - c1[k] * c2[k] * zt[k]
+        zt.append(acc / (c1[n] * c2[n]))
+    return zt[l]
 
 
 # ---------------------------------------------------------------------------

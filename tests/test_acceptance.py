@@ -290,7 +290,7 @@ def test_criterion_6_lvalue_cross_validation():
 
 
 def test_criterion_7_summary_reports_burgess_target():
-    _, summary = cli.cmd_scan(cli.RunConfig(qmin=100, qmax=120, stride=4))
+    _, summary = cli.cmd_scan(cli.RunConfig(qmin=101, qmax=121, stride=4))
     ok = (
         summary["burgess_target"] == "103/512"
         and summary["theta"] == "7/64"

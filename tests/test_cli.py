@@ -121,6 +121,10 @@ def test_bad_lvalue_and_scan_input_is_one_line(capsys):
         (["mellin", "--s", "1"], "expected re,im"),
         (["mellin", "--grid", "1:2"], "grid format is re0:re1:nre:im0:im1:nim"),
         (["verify", "--nmax", "99"], "nmax must lie in [0, "),
+        (["oracle", "--npoints", "0"], "npoints must be >= 1 (got 0)"),
+        (["oracle", "--npoints", "-1"], "npoints must be >= 1 (got -1)"),
+        (["scan", "--qmin", "10000", "--qmax", "10400", "--stride", "90"],
+         "q = 2 mod 4 has no primitive characters"),
     ):
         assert run_main(argv) == 2
         captured = capsys.readouterr()
@@ -142,7 +146,7 @@ def test_mellin_point_and_grid(capsys):
 
 def test_scan_csv_and_summary(tmp_path):
     out = tmp_path / "scan.csv"
-    code = run_main(["scan", "--qmin", "100", "--qmax", "116", "--stride", "4", "--out", str(out)])
+    code = run_main(["scan", "--qmin", "101", "--qmax", "117", "--stride", "4", "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[0] == "q,label,abs_L,normalized,seconds"
@@ -151,7 +155,7 @@ def test_scan_csv_and_summary(tmp_path):
     assert summary["theta"] == "7/64"
     # byte-identical re-run
     out2 = tmp_path / "scan2.csv"
-    run_main(["scan", "--qmin", "100", "--qmax", "116", "--stride", "4", "--out", str(out2)])
+    run_main(["scan", "--qmin", "101", "--qmax", "117", "--stride", "4", "--out", str(out2)])
     assert out2.read_text() == text
 
 
@@ -203,3 +207,5 @@ def test_parser_leaves_every_default_to_run_config():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(nmax=99)
+    with pytest.raises(ValueError):
+        cli.RunConfig(npoints=0)

@@ -193,6 +193,32 @@ def test_zeta_ratio_display_vs_solved():
         lg.zeta_ratio(7)
 
 
+def test_herm_ratio_display_vs_solved():
+    # the displayed hermitian ratios for l = 1, 2, with c = c(n, l; s1) and
+    # d = c(n, l; s2); the middle term of l = 2 has the corrected denominator
+    # (1 + q^-1)^2 (1 - q^-1), where the source prints (1 + q^-1)(1 - q^-1)^2
+    qi = q_pow(-2)  # q^-1
+    c10, c11 = lg.transition_coeff(1, 0, "s1"), lg.transition_coeff(1, 1, "s1")
+    d10, d11 = lg.transition_coeff(1, 0, "s2"), lg.transition_coeff(1, 1, "s2")
+    c20, c22 = lg.transition_coeff(2, 0, "s1"), lg.transition_coeff(2, 2, "s1")
+    d20, d22 = lg.transition_coeff(2, 0, "s2"), lg.transition_coeff(2, 2, "s2")
+    u = (1 + t_pow("s1", 2)) * (1 + t_pow("s2", 2))
+    a1 = t_pow("s", -1) * (1 + qi * GEN_T**2) / (1 + qi)  # atilde_1
+    a2 = t_pow("s", -2) * (1 + qi**2 * GEN_T**4) / (1 + qi) + qi * (1 - qi) / (1 + qi)
+    l1_display = (a1 - c10 * d10) / (c11 * d11)
+
+    def l2_display(middle_den):
+        middle = qi * t_pow("s", -1) * u / middle_den * (1 + qi * GEN_T**2) / (c11 * d11)
+        rest = -c20 * d20 / (c22 * d22) + qi * u / (1 - qi**2) * c10 * d10 / (c11 * d11)
+        return a2 / (c22 * d22) - middle + rest
+
+    assert lg.herm_zeta_ratio(1).value == l1_display
+    assert lg.herm_zeta_ratio(2).value == l2_display((1 + qi) ** 2 * (1 - qi))
+    assert lg.herm_zeta_ratio(2).value != l2_display((1 + qi) * (1 - qi) ** 2)
+    with pytest.raises(ValueError):
+        lg.herm_zeta_ratio(3)
+
+
 def test_zeta_ratio_display_formula():
     c10, c11 = lg.transition_coeff(1, 0), lg.transition_coeff(1, 1)
     expect = GEN_T / c11 - c10 / c11
