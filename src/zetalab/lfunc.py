@@ -579,7 +579,7 @@ def _contour(t_cap: float) -> tuple:
     if np.any(~near_pole):
         h_minus[~near_pole] = mellin.mellin_h0_batch(s_minus[~near_pole], 4)
     for i in np.nonzero(near_pole)[0]:
-        h_minus[i] = mellin.mellin_h0_continued(s_minus[i])
+        h_minus[i] = mellin.mellin_h0(s_minus[i], 0)
     return t, w, h_plus, h_minus
 
 

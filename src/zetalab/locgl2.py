@@ -59,7 +59,6 @@ __all__ = [
     "mu_factor",
     "intertwining_eigenvalue",
     "transition_coeff",
-    "tilde_c",
     "solve_transition",
     "spherical_zeta",
     "zeta_ratio",
@@ -309,18 +308,18 @@ def transition_coeff(n: int, l: int, svar: str = "s0") -> SymElem:
     return -q_pow(-(n - l)) * body * (1 - _QINV * t2) * norm
 
 
-def tilde_c(n: int, l: int, svar: str = "s0") -> SymElem:
+def tilde_c(n: int, l: int) -> SymElem:
     """c(n, l)/c(n, n), the monic-normalised coefficients of the recursion."""
-    return transition_coeff(n, l, svar) / transition_coeff(n, n, svar)
+    return transition_coeff(n, l) / transition_coeff(n, n)
 
 
-def _recursion_weights(svar: str) -> tuple:
-    """The weights (-q^(-1/2)(1 + q^(-2v)), q^(-1-2v)) of rows n - 1 and n - 2."""
-    t2 = t_pow(svar, 2)
+def _recursion_weights() -> tuple:
+    """The weights (-q^(-1/2)(1 + q^(-2 s0)), q^(-1-2 s0)) of rows n - 1 and n - 2."""
+    t2 = t_pow("s0", 2)
     return -q_pow(-1) * (1 + t2), _QINV * t2
 
 
-def tilde_c_residual(n: int, l: int, svar: str = "s0") -> SymElem:
+def tilde_c_residual(n: int, l: int) -> SymElem:
     """Three-term recursion defect of the tilde coefficients; zero when valid.
 
     Row n plus the _recursion_weights times rows n - 1 and n - 2 is the unit
@@ -332,9 +331,9 @@ def tilde_c_residual(n: int, l: int, svar: str = "s0") -> SymElem:
         raise ValueError("recursion starts at n = 3")
 
     def ct(nn: int, ll: int) -> SymElem:
-        return tilde_c(nn, ll, svar) if ll <= nn else ZERO
+        return tilde_c(nn, ll) if ll <= nn else ZERO
 
-    mid, last = _recursion_weights(svar)
+    mid, last = _recursion_weights()
     if n == 3:
         last = last * _INV_SQRT_ONE_MINUS
     res = ct(n, l) + mid * ct(n - 1, l) + last * ct(n - 2, l)
@@ -367,18 +366,18 @@ def solve_transition(a_seq: Sequence[SymElem], svar: str = "s0") -> list:
     return _solve_lower(a, lambda n, l: transition_coeff(n, l, svar))
 
 
-def evaluation_residual(n: int, k: int, svar: str = "s0") -> SymElem:
+def evaluation_residual(n: int, k: int) -> SymElem:
     """Defect of the evaluation system q^((n-2k)(1/2+s0)) = sum_l c(n,l) a(l,n-k)."""
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    lhs = q_pow(n - 2 * k) * t_pow(svar, -(n - 2 * k))
+    lhs = q_pow(n - 2 * k) * t_pow("s0", -(n - 2 * k))
     rhs = ZERO
     for l in range(n + 1):
-        rhs = rhs + transition_coeff(n, l, svar) * _a_entry(l, min(n - k, l))
+        rhs = rhs + transition_coeff(n, l) * _a_entry(l, min(n - k, l))
     return lhs - rhs
 
 
-def unitarity_identity(n: int, svar: str = "s0") -> SymElem:
+def unitarity_identity(n: int) -> SymElem:
     """sum_l c(n,l;s0) c(n,l;-s0) - 1; zero since the coefficients are a unitary row.
 
     For purely imaginary s0 the conjugate of q^(-s0) is q^(s0), so the
@@ -387,8 +386,8 @@ def unitarity_identity(n: int, svar: str = "s0") -> SymElem:
     """
     acc = -ONE
     for l in range(n + 1):
-        cl = transition_coeff(n, l, svar)
-        acc = acc + cl * cl.invert_var(svar)
+        cl = transition_coeff(n, l)
+        acc = acc + cl * cl.invert_var("s0")
     return acc
 
 

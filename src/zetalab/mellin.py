@@ -20,7 +20,9 @@ of h0 has the integration-by-parts ladder
 valid for every order N, which both continues M[h0] meromorphically (simple
 pole at s = 0 of residue 1, from the plateau) and supplies 1/|s|^N decay on
 vertical lines.  Orders up to N = 4 are supported; the order-4 form is what
-the approximate-functional-equation quadratures rely on.
+the approximate-functional-equation quadratures rely on.  Order 0 is the
+plateau split M[h0](s) = 1/s + integral over [1, 2] of h0 t^(s-1), valid at
+every s != 0.
 
 Two-sided windows h(t) = h0(t/B) - h0(t/A) with 0 < A < B cut a plateau on
 [2A, B] with support in (A, 2B).
@@ -42,7 +44,6 @@ __all__ = [
     "h0_eval",
     "mellin_h0",
     "mellin_one_minus_h0",
-    "mellin_h0_continued",
     "mellin_h0_batch",
     "mellin_one_minus_h0_direct",
     "window",
@@ -156,18 +157,20 @@ def _bump_mellin_integral(s: complex, k: int) -> complex:
 def mellin_h0(s: complex, order: int = 0) -> complex:
     """M[h0](s) computed through the order-N integration-by-parts ladder.
 
-    order = 0 uses the defining integral and needs Re s > 0 (the plateau
-    contributes the closed term 1/s).  order = N >= 1 is valid on
-    Re s > -N away from the ladder poles 0, -1, ..., -N+1; all orders agree
-    where their domains overlap.  The simple pole at s = 0 has residue 1.
+    order = 0 is the plateau split 1/s + integral over [1, 2] of h0 t^(s-1):
+    the bump integral is entire, so it continues M[h0] to every s != 0 and
+    stays stable at the negative integers, where the ladder forms become a
+    removable 0/0.  order = N >= 1 is valid on Re s > -N away from the ladder
+    poles 0, -1, ..., -N+1; all orders agree where their domains overlap.
+    The simple pole at s = 0 has residue 1.
     """
     s = complex(s)
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise MellinError(f"order must be between 0 and {MAX_DERIVATIVE_ORDER}")
     if order == 0:
-        if s.real <= 0:
-            raise MellinError("order 0 requires Re s > 0")
-        return 1.0 / s + _bump_mellin_integral(s, 0)
+        if abs(s) < 1e-12:
+            raise MellinPoleError("s = 0 is the (only) pole of M[h0], residue 1")
+        return complex(1.0 / s + _bump_mellin_integral(s, 0))
     if s.real <= -order:
         raise MellinError(f"order {order} requires Re s > {-order}")
     for j in range(order):
@@ -214,19 +217,6 @@ def mellin_h0_batch(svals: np.ndarray, order: int = 4) -> np.ndarray:
     return vals
 
 
-def mellin_h0_continued(s: complex) -> complex:
-    """M[h0](s) by the plateau split 1/s + integral over [1, 2] of h0 t^(s-1).
-
-    The bump integral is entire, so this continues M[h0] to every s != 0 and
-    stays stable at the negative integers, where the ladder form becomes a
-    removable 0/0.  It agrees with mellin_h0 wherever both apply.
-    """
-    s = complex(s)
-    if abs(s) < 1e-12:
-        raise MellinPoleError("s = 0 is the (only) pole of M[h0], residue 1")
-    return complex(1.0 / s + _bump_mellin_integral(s, 0))
-
-
 def _auto_order(s: complex) -> int:
     if s.real > 0.25:
         return 0
@@ -242,12 +232,12 @@ def mellin_one_minus_h0(s: complex) -> complex:
 
     Uses the integration-by-parts ladder of the matching order; within .05
     of a ladder zero/pole pair (the negative integers, where the ladder is a
-    removable 0/0) it switches to the stable plateau-split continuation.
+    removable 0/0) it switches to the stable plateau split, order 0.
     """
     s = complex(s)
     order = _auto_order(s)
     if any(abs(s + j) < 0.05 for j in range(order)):
-        return -mellin_h0_continued(s)
+        return -mellin_h0(s, 0)
     return -mellin_h0(s, order)
 
 

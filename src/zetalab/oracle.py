@@ -9,10 +9,11 @@ forms they validate:
 * shell-by-shell summation of p-adic integrals.  Whittaker values at
   diagonal points come from the Jacquet integral cut along the shells
   |x| = q^k, where the additive character of conductor zero averages to the
-  standard Ramanujan-type factors; local zeta values are then geometric-type
-  sums over the valuation with closed-form tails.  One engine computes every
-  such sum, whether of one Whittaker factor or of a Rankin-Selberg or
-  hermitian product of two;
+  standard Ramanujan-type factors.  From valuation l on the level-l value
+  is exactly A u^m + B v^m, so a local zeta value is a direct sum over l
+  head shells plus one closed geometric tail.  One engine computes every
+  such sum, of one Whittaker factor or of a Rankin-Selberg or hermitian
+  product of two;
 * direct solution (exact or numeric) of the linear system defining the
   transition coefficients, starting only from the classical-vector cell
   data.
@@ -39,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .symring import EvalPoint, SymElem, q_pow
+from .symring import GEN_S, ONE, EvalPoint, q_pow, t_pow
 
 __all__ = [
     "OracleError",
@@ -132,47 +133,38 @@ def coset_count(q: int, m: int) -> CosetReport:
 # ---------------------------------------------------------------------------
 
 
-def _a_num(q: int, l: int, n: int) -> float:
-    # classical-vector cell data, duplicated on purpose from the proof-level
-    # solution so the shell sums do not import the module under test
+def _a_cell(l: int, n: int, half, root):
+    """Cell value a(l, n) with half(k) = q^(k/2) and root = sqrt((q+1)/(q-1)).
+
+    Duplicated on purpose from the proof-level solution so the oracle does
+    not import the module under test: floats for the shell sums, SymElems
+    for the exact transition system.
+    """
     if l == 0:
-        return 1.0
+        return half(0)
     if l == 1:
-        return q**-0.5 if n == 0 else -(q**0.5)
+        return half(-1) if n == 0 else -half(1)
     if n <= l - 2:
-        return 0.0
-    root = math.sqrt((q + 1.0) / (q - 1.0))
+        return 0 * root
     if n == l - 1:
-        return q ** ((l - 2) / 2.0) * root
-    return -(q - 1.0) * q ** ((l - 2) / 2.0) * root
+        return half(l - 2) * root
+    return -(half(2) - 1) * half(l - 2) * root
 
 
-def whittaker_value(q: int, l: int, s0: complex, m: int, psi_trivial: bool = False) -> complex:
+def _a_num(q: int, l: int, n: int) -> float:
+    """a(l, n) at residue size q in floating point."""
+    return _a_cell(l, n, lambda k: q ** (k / 2.0), math.sqrt((q + 1.0) / (q - 1.0)))
+
+
+def whittaker_value(q: int, l: int, s0: complex, m: int) -> complex:
     """Whittaker value of the level-l vector at the diagonal point of valuation m.
 
     Computed from the Jacquet integral: the region |x| <= 1 lands in the
     big cell with value a(l, 0); each shell |x| = q^k contributes the cell
     value a(l, k) weighted by the section factor q^(-k(1+2 s0)) and by the
     additive-character shell average (q^k(1 - 1/q), -q^(k-1) or 0 for a
-    conductor-zero character).  psi_trivial=True replaces the character
-    averages by plain volumes; this is the negative control and no longer
-    matches any closed form.
+    conductor-zero character).
     """
-    if psi_trivial:
-        t = q ** (-2 * s0)
-        if abs(t) >= 1:
-            raise DivergenceError("trivial-character control needs Re s0 > 0")
-        acc = complex(_a_num(q, l, 0))
-        k = 1
-        term = 1.0
-        while k < l + 4 or abs(term) > 1e-18 * max(abs(acc), 1.0):
-            term = _a_num(q, l, k) * (1 - 1.0 / q) * t**k
-            acc += term
-            k += 1
-            if k > 4000:
-                break
-        acc += _a_num(q, l, l) * (1 - 1.0 / q) * t**k / (1 - t)
-        return q ** (-m * (0.5 - s0)) * acc
     if m < 0:
         return 0j
     t = q ** (-2 * s0)
@@ -184,15 +176,22 @@ def whittaker_value(q: int, l: int, s0: complex, m: int, psi_trivial: bool = Fal
 
 
 def _whittaker_mix(q: int, l: int, s0: complex):
-    """(A, u, B, v) with W_l(m) = A u^m + B v^m for every m >= l."""
+    """(A, u, B, v) with W_l(m) = A u^m + B v^m for every m >= l.
+
+    A sums the shells k < l one by one and the shells k >= max(l, 1), where
+    a(l, k) = a(l, l), as one geometric series; B v^m is the boundary shell
+    m + 1 together with the part of that series past m.  A and B grow like
+    1/(1 - t), t = q^(-2 s0), and cancel in W, so the closed form loses about
+    -log10|1 - t| digits; None is returned when |1 - t| < 1e-3.
+    """
     t = q ** (-2 * s0)
-    if abs(1 - t) < 1e-8:
+    if abs(1 - t) < 1e-3:
         return None
     head = complex(_a_num(q, l, 0))
     for k in range(1, l):
         head += _a_num(q, l, k) * (1 - 1.0 / q) * t**k
     all_ = _a_num(q, l, l)
-    c_coef = head + (1 - 1.0 / q) * all_ * t**l / (1 - t)
+    c_coef = head + (1 - 1.0 / q) * all_ * t ** max(l, 1) / (1 - t)
     d_coef = -all_ * t * ((1 - 1.0 / q) / (1 - t) + 1.0 / q)
     u = q ** (-(0.5 - s0))
     v = q ** (-(0.5 + s0))
@@ -205,19 +204,24 @@ def _factor(q: int, l: int, s0: complex, shift: int = 0, conj: bool = False,
 
     Returns (value, first, mixed, tail): value(m) is the factor at m, which
     vanishes for m < first; from m >= mixed on it equals sum c r^m over the
-    tail terms ((c, r), ...), and tail is None when q^(-2 s0) = 1 makes that
-    split degenerate.
+    tail terms ((c, r), ...), and tail is None when q^(-2 s0) is so close to
+    1 that the split is degenerate or ill-conditioned (_whittaker_mix).
+
+    psi_trivial=True is the negative control: with plain shell volumes in
+    place of the character averages the value is A u^m (the mix's A) at
+    every m >= 0, which matches no closed form.
     """
+    mix = _whittaker_mix(q, l, s0)
     if psi_trivial:
-        # m-dependence is a single geometric factor q^(-m(1/2-s0))
-        w0 = whittaker_value(q, l, s0, 0, True)
-        return (lambda m: whittaker_value(q, l, s0, m, True)), 0, 0, ((w0, q ** (-(0.5 - s0))),)
+        if mix is None or abs(q ** (-2 * s0)) >= 1:
+            raise DivergenceError("trivial-character control needs |q^(-2 s0)| < 1, away from 1")
+        a, u = mix[:2]
+        return (lambda m: a * u**m), 0, 0, ((a, u),)
 
     def value(m: int) -> complex:
         w = whittaker_value(q, l, s0, m + shift)
         return w.conjugate() if conj else w
 
-    mix = _whittaker_mix(q, l, s0)
     tail = None
     if mix is not None:
         a, u, b, v = (x.conjugate() for x in mix) if conj else mix
@@ -235,14 +239,16 @@ def _geom_tail(coef: complex, ratio: complex, m_next: int) -> complex:
     return coef * ratio**m_next / (1 - ratio)
 
 
-def _shell_sum(factors, weight: complex, k_max: int) -> complex:
+def _shell_sum(factors, weight: complex) -> complex:
     """sum_m prod_i f_i(m) * weight^m over the factors made by _factor.
 
     Every factor vanishes below its first m, so the sum starts at the largest
-    of them.  The first k_max + 1 shells are summed directly; past them each
-    factor is a sum of geometric terms, so the tail is one closed geometric
-    series per product of tail terms.  If any factor is degenerate the direct
-    sum continues until its terms are negligible instead.
+    of them.  The head below the largest mixed index is summed directly (l
+    shells for a level-l factor, none at level 0); past it every factor is
+    exactly a sum of geometric terms, so the tail is one closed geometric
+    series per product of tail terms.  If a factor is degenerate the direct
+    sum runs instead, over at least 61 shells (a factor can vanish at a
+    single shell) and then until its terms are negligible, at most 4061.
     """
     values, firsts, mixed, tails = zip(*factors)
 
@@ -253,32 +259,25 @@ def _shell_sum(factors, weight: complex, k_max: int) -> complex:
         return prod * weight**m
 
     m_min = max(firsts)
-    m_stop = m_min + k_max
-    partial = 0j
-    for m in range(m_min, m_stop + 1):
-        partial += term(m)
-    tail = 0j
-    m = m_stop + 1
     if None in tails:
-        # removable-degeneracy fallback: extend the direct sum
-        while True:
+        total = 0j
+        for m in range(m_min, m_min + 4061):
             t = term(m)
-            tail += t
-            m += 1
-            if abs(t) < 1e-17 * max(1.0, abs(partial + tail)) or m > m_stop + 4000:
+            total += t
+            if m > m_min + 60 and abs(t) < 1e-17 * max(1.0, abs(total)):
                 break
-        return partial + tail
-    assert m >= max(mixed)
+        return total
+    m_tail = max(m_min, *mixed)
+    total = sum((term(m) for m in range(m_min, m_tail)), 0j)
     for terms in itertools.product(*tails):
         c, r = terms[0]
         for ci, ri in terms[1:]:
             c, r = c * ci, r * ri
-        tail += _geom_tail(c, r * weight, m)
-    return partial + tail
+        total += _geom_tail(c, r * weight, m_tail)
+    return total
 
 
-def zeta_by_summation(l: int, at: EvalPoint, k_max: int = 60,
-                      psi_trivial: bool = False) -> complex:
+def zeta_by_summation(l: int, at: EvalPoint, psi_trivial: bool = False) -> complex:
     """One-variable local zeta of the level-l Whittaker vector: sum_m W_l(m) q^(-m s).
 
     For l = 0 this matches the spherical closed form (times C(psi)-power 1,
@@ -293,13 +292,13 @@ def zeta_by_summation(l: int, at: EvalPoint, k_max: int = 60,
     weight = q ** (-complex(at.s))
     if abs(weight) >= 1:
         raise DivergenceError("weight ratio >= 1")
-    return _shell_sum([_factor(q, l, at.s0, psi_trivial=psi_trivial)], weight, k_max)
+    return _shell_sum([_factor(q, l, at.s0, psi_trivial=psi_trivial)], weight)
 
 
-def zeta_ratio_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
+def zeta_ratio_by_summation(l: int, at: EvalPoint) -> complex:
     """Level ratio zeta_l(s, s0) by two shell sums at the same exponent."""
-    num = zeta_by_summation(l, at, k_max)
-    den = zeta_by_summation(0, at, k_max)
+    num = zeta_by_summation(l, at)
+    den = zeta_by_summation(0, at)
     return num / den
 
 
@@ -314,7 +313,7 @@ def _rs_guard(at: EvalPoint):
         raise DivergenceError("need Re(1 + s ± s1 ± s2) > 0 with margin")
 
 
-def rs_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
+def rs_by_summation(l: int, at: EvalPoint) -> complex:
     """Rankin-Selberg shell sums for the spherical pairing of two principal series.
 
     l = 0 returns the full spherical value sum_m W(s1; m) W(s2; m)
@@ -329,15 +328,15 @@ def rs_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
     sph1, sph2 = _factor(q, 0, at.s1), _factor(q, 0, at.s2)
     if l == 0:
         w = q ** (-(complex(at.s) - 0.5))
-        return _shell_sum([sph1, sph2], w, k_max)
+        return _shell_sum([sph1, sph2], w)
     w = q ** (-complex(at.s))
-    num = _shell_sum([_factor(q, l, at.s1), sph2], w, k_max)
-    den = _shell_sum([sph1, sph2], w, k_max)
+    num = _shell_sum([_factor(q, l, at.s1), sph2], w)
+    den = _shell_sum([sph1, sph2], w)
     dims = {1: float(q), 2: float(q * q - 1)}
     return num / den / math.sqrt(dims[l])
 
 
-def rs_a_by_summation(n: int, at: EvalPoint, k_max: int = 60) -> complex:
+def rs_a_by_summation(n: int, at: EvalPoint) -> complex:
     """Translate ratio a_n(s, s1, s2) by two shell sums at the same exponent."""
     if n < 0:
         raise OracleError("n must be >= 0")
@@ -345,12 +344,12 @@ def rs_a_by_summation(n: int, at: EvalPoint, k_max: int = 60) -> complex:
     q = at.q
     w = q ** (-complex(at.s))
     sph2 = _factor(q, 0, at.s2)
-    num = _shell_sum([_factor(q, 0, at.s1, -n), sph2], w, k_max)
-    den = _shell_sum([_factor(q, 0, at.s1), sph2], w, k_max)
+    num = _shell_sum([_factor(q, 0, at.s1, -n), sph2], w)
+    den = _shell_sum([_factor(q, 0, at.s1), sph2], w)
     return num / den
 
 
-def herm_a_by_summation(n: int, at: EvalPoint, k_max: int = 60) -> complex:
+def herm_a_by_summation(n: int, at: EvalPoint) -> complex:
     """Hermitian translate ratio atilde_n by explicit coset-cell bookkeeping.
 
     The compact group splits modulo the level-n subgroup into q^(n-1) lower
@@ -369,8 +368,7 @@ def herm_a_by_summation(n: int, at: EvalPoint, k_max: int = 60) -> complex:
     s2c = complex(at.s2).conjugate()
 
     def cell(shift: int) -> complex:
-        return _shell_sum([_factor(q, 0, at.s1, shift), _factor(q, 0, s2c, shift, conj=True)],
-                          w, k_max)
+        return _shell_sum([_factor(q, 0, at.s1, shift), _factor(q, 0, s2c, shift, conj=True)], w)
 
     index = q ** (n - 1) * (q + 1)
     total = 0j
@@ -393,7 +391,7 @@ def _c_numeric(n: int, at_s0: complex, q: int) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
-def herm_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
+def herm_by_summation(l: int, at: EvalPoint) -> complex:
     """Hermitian ratio ztilde_l for l in {0, 1, 2}, from cells plus a solved system.
 
     l = 0 returns the spherical hermitian value, which coincides with the
@@ -406,12 +404,12 @@ def herm_by_summation(l: int, at: EvalPoint, k_max: int = 60) -> complex:
     if l not in (0, 1, 2):
         raise OracleError("hermitian sums provided for l in {0, 1, 2}")
     if l == 0:
-        return rs_by_summation(0, at, k_max)
+        return rs_by_summation(0, at)
     zt = [1.0]  # ztilde_0 = 1: the system's n = 0 row is atilde_0 = 1
     for n in range(1, l + 1):
         c1 = _c_numeric(n, complex(at.s1), at.q)
         c2 = _c_numeric(n, complex(at.s2).conjugate(), at.q).conjugate()
-        acc = herm_a_by_summation(n, at, k_max)
+        acc = herm_a_by_summation(n, at)
         for k in range(n):
             acc = acc - c1[k] * c2[k] * zt[k]
         zt.append(acc / (c1[n] * c2[n]))
@@ -441,25 +439,11 @@ def solve_transition_system(n: int, mode: str = "symbolic",
     if mode != "symbolic":
         raise OracleError("mode must be symbolic or numeric")
 
-    from .symring import GEN_S, ONE, ZERO, t_pow
-
-    def a_sym(l: int, nn: int) -> SymElem:
-        nn = min(nn, l)
-        if l == 0:
-            return ONE
-        if l == 1:
-            return q_pow(-1) if nn == 0 else -q_pow(1)
-        if nn <= l - 2:
-            return ZERO
-        if nn == l - 1:
-            return q_pow(l - 2) * GEN_S
-        return -(q_pow(2) - 1) * q_pow(l - 2) * GEN_S
-
-    rows = [[a_sym(l, n - k) for l in range(n + 1)] for k in range(n + 1)]
+    rows = [[_a_cell(l, min(n - k, l), q_pow, GEN_S) for l in range(n + 1)]
+            for k in range(n + 1)]
     rhs = [q_pow(n - 2 * k) * t_pow("s0", -(n - 2 * k)) for k in range(n + 1)]
     # Gaussian elimination with first-nonzero pivoting
     size = n + 1
-    cols = list(range(size))
     for col in range(size):
         piv = next((r for r in range(col, size) if not rows[r][col].is_zero), None)
         if piv is None:

@@ -112,8 +112,8 @@ def test_pole_errors_name_the_pole():
         ml.mellin_h0(0.0, 2)
     with pytest.raises(ml.MellinPoleError):
         ml.mellin_h0(-1.0, 3)
-    with pytest.raises(ml.MellinError):
-        ml.mellin_h0(-0.5, 0)  # order 0 needs Re s > 0
+    with pytest.raises(ml.MellinPoleError):
+        ml.mellin_h0(0.0, 0)  # the plateau split continues M[h0] to every s != 0
     with pytest.raises(ml.MellinError):
         ml.mellin_h0(-4.5, 4)  # out of the order-4 half-plane
 
@@ -126,9 +126,10 @@ def test_one_minus_identity_against_direct_integral():
 
 
 def test_continued_form_agrees_with_ladder():
+    # order 0 is the plateau split, valid at every s != 0
     for s in (0.7 + 2j, -0.5 + 1j, -2.5 - 3j, 3.0):
-        order = 0 if s.real > 0.25 else 3
-        assert abs(ml.mellin_h0_continued(s) - ml.mellin_h0(s, order)) <= 1e-9
+        for order in (3, 4):
+            assert abs(ml.mellin_h0(s, 0) - ml.mellin_h0(s, order)) <= 1e-9, (s, order)
 
 
 def test_batch_matches_scalar():

@@ -1,7 +1,11 @@
 """Brute-force oracles: coset enumeration, shell sums, system solving."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from zetalab import locgl2 as lg
 from zetalab import oracle as oc
 from zetalab.symring import EvalPoint
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 ACCEPTANCE_PAIRS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
 
 
@@ -93,13 +98,54 @@ def test_zeta_sum_s0_reflection_consistency():
     assert abs(r_closed - r_oracle) <= 1e-10 * abs(r_closed)
 
 
-def test_tail_stability_under_kmax_doubling():
-    pt = EvalPoint(q=2, s=1.8, s0=0.3j)
-    v60 = oc.zeta_by_summation(3, pt, k_max=60)
-    v120 = oc.zeta_by_summation(3, pt, k_max=120)
-    assert abs(v60 - v120) <= 1e-12 * abs(v60)
-    prs = EvalPoint(q=3, s=2.1, s1=0.2 - 0.3j, s2=-0.1)
-    assert abs(oc.rs_by_summation(2, prs, 60) - oc.rs_by_summation(2, prs, 120)) <= 1e-12
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_whittaker_mix_matches_shell_values(q):
+    # the closed tail A u^m + B v^m is exact from m = l on, including l = 0,
+    # where the geometric part of A starts at the first shell
+    for s0 in (0.3, -0.2, 0.2 + 0.5j, -0.35 + 1.3j, 0.7j):
+        for l in range(7):
+            a, u, b, v = oc._whittaker_mix(q, l, s0)
+            for m in range(l, l + 9):
+                want = oc.whittaker_value(q, l, s0, m)
+                assert abs(a * u**m + b * v**m - want) <= 1e-13 * max(1.0, abs(want)), (s0, l, m)
+
+
+def test_sums_exact_near_the_guard():
+    # inside the convergence guards but close to them the tail carries most
+    # of the sum, so a wrong tail coefficient shows at full size
+    pt = EvalPoint(q=2, s=0.05, s0=0.5)
+    prs = EvalPoint(q=2, s=0.2, s1=0.5j, s2=0.55)
+    cases = ((oc.zeta_by_summation(0, pt), lg.spherical_zeta().value, pt),
+             (oc.zeta_ratio_by_summation(1, pt), lg.zeta_ratio(1).value, pt),
+             (oc.rs_by_summation(0, prs), lg.rs_spherical_zeta().value, prs))
+    for got, closed, at in cases:
+        want = closed.substitute(at)
+        assert abs(got - want) <= 1e-12 * abs(want), at
+
+
+def test_sums_exact_near_a_degenerate_point():
+    # near q^(-2 s0) = 1 the mix coefficients grow like 1/(1 - q^(-2 s0)) and
+    # cancel, so the closed tail alone would lose digits there
+    for eps in (1e-7j, 1e-6j, 2e-3, 2e-3j):
+        pt = EvalPoint(q=3, s=2.0, s0=eps)
+        pairs = [(oc.zeta_by_summation(0, pt), lg.spherical_zeta().value, pt)]
+        prs = EvalPoint(q=3, s=2.0, s1=eps, s2=0.3j)
+        pairs += [(oc.rs_by_summation(l, prs), lg.rs_zeta_ratio(l).value, prs) for l in (1, 2)]
+        pairs += [(oc.rs_by_summation(0, prs), lg.rs_spherical_zeta().value, prs),
+                  (oc.herm_by_summation(2, prs), lg.herm_zeta_ratio(2).value, prs)]
+        for got, closed, at in pairs:
+            want = closed.substitute(at)
+            assert abs(got - want) <= 1e-11 * abs(want), (eps, at)
+
+
+def test_oracle_does_not_import_locgl2():
+    code = "import sys, zetalab.oracle; print('zetalab.locgl2' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_divergence_guard():
@@ -167,14 +213,13 @@ def test_degenerate_s0_fallback():
     pt = EvalPoint(q=5, s=2.0, s0=0.0)
     closed = lg.spherical_zeta().value.substitute(pt)
     assert abs(oc.zeta_by_summation(0, pt) - closed) <= 1e-9 * abs(closed)
-    # the same for the product sums when s1 = 0 and/or s2 = 0; with only six
-    # direct shells the continued direct sum carries the tail
-    k = 5
+    # the same for the product sums when s1 = 0 and/or s2 = 0, where W_1 at
+    # s1 = 0 vanishes at one shell for q = 3 and the direct sum must run past it
     for pt in (EvalPoint(q=3, s=2.1), EvalPoint(q=5, s=1.9 + 0.2j, s2=0.3j)):
-        pairs = [(oc.rs_by_summation(0, pt, k), lg.rs_spherical_zeta().value)]
-        pairs += [(oc.rs_by_summation(l, pt, k), lg.rs_zeta_ratio(l).value) for l in (1, 2)]
-        pairs += [(oc.rs_a_by_summation(n, pt, k), lg.rs_a_coeff(n).value) for n in range(4)]
-        pairs += [(oc.herm_by_summation(l, pt, k), lg.herm_zeta_ratio(l).value) for l in (1, 2)]
+        pairs = [(oc.rs_by_summation(0, pt), lg.rs_spherical_zeta().value)]
+        pairs += [(oc.rs_by_summation(l, pt), lg.rs_zeta_ratio(l).value) for l in (1, 2)]
+        pairs += [(oc.rs_a_by_summation(n, pt), lg.rs_a_coeff(n).value) for n in range(4)]
+        pairs += [(oc.herm_by_summation(l, pt), lg.herm_zeta_ratio(l).value) for l in (1, 2)]
         for got, closed in pairs:
             want = closed.substitute(pt)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), pt
